@@ -20,29 +20,15 @@ ClusterExperiment::ClusterExperiment(
   XAR_EXPECTS(cluster_.completion_poll > Duration::zero());
   const std::size_t n = cluster_.cells;
 
-  // Declare the graph: cell i's components are nodes with affinity
-  // group i, interactions are edges carrying their modeled latency.
-  // The partitioner derives everything else (shard map, epoch,
+  // Declare the graph: each cell is one node with affinity group i,
+  // and the ring interconnect is the only interaction that crosses
+  // cells.  The partitioner derives everything else (shard map, epoch,
   // channels) from this declaration.
   sim::Topology topo;
   x86_nodes_.reserve(n);
-  fpga_nodes_.reserve(n);
-  sched_nodes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string prefix = "cell" + std::to_string(i) + "/";
-    const auto cell_id = static_cast<sim::CellId>(i);
-    x86_nodes_.push_back(topo.add_node(prefix + "x86", cell_id));
-    fpga_nodes_.push_back(topo.add_node(prefix + "fpga", cell_id));
-    sched_nodes_.push_back(topo.add_node(prefix + "sched", cell_id));
-    // In-cell interactions: the FPGA's reconfiguration notify crosses
-    // the PCIe stack, the scheduler's reply the loopback socket.  Both
-    // endpoints share a cell, so the derived channels are inert -- the
-    // registration is what keeps the wiring correct if a later spec
-    // ever splits a cell's components across cells.
-    topo.add_edge(fpga_nodes_[i], sched_nodes_[i],
-                  cluster_.cell_config.pcie.latency);
-    topo.add_edge(sched_nodes_[i], x86_nodes_[i],
-                  runtime::SchedulerServer::Options{}.request_overhead);
+    x86_nodes_.push_back(topo.add_node("cell" + std::to_string(i) + "/x86",
+                                       static_cast<sim::CellId>(i)));
   }
   if (n > 1) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -72,24 +58,6 @@ ClusterExperiment::ClusterExperiment(
     cell_options.testbed.external_sim = &engine_->sim_of(x86_nodes_[i]);
     cells_.push_back(std::make_unique<Experiment>(specs, seed_table,
                                                   cell_options));
-    // Derived wiring instead of hand-assembled channels: in-cell
-    // registrations resolve to inert channels (local behavior), and
-    // would resolve to mailbox channels automatically if the plan ever
-    // placed the endpoints apart.
-    cells_[i]->testbed().fpga().register_notify(*engine_, fpga_nodes_[i],
-                                                sched_nodes_[i]);
-    cells_[i]->server().register_reply(*engine_, sched_nodes_[i],
-                                       x86_nodes_[i]);
-  }
-
-  if (n > 1) {
-    intercell_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      intercell_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(x86_nodes_[i]), cluster_.intercell));
-      intercell_[i]->register_route(*engine_, x86_nodes_[i],
-                                    x86_nodes_[(i + 1) % n]);
-    }
   }
 
   // Tracked-job and fault-injection state.  Construction schedules
@@ -99,22 +67,22 @@ ClusterExperiment::ClusterExperiment(
   cell_dead_.assign(n, 0);
   cell_epoch_.assign(n, 0);
   if (n > 1) {
-    // The drain path rides the ring: each cell gets a route-less local
-    // link (same spec as intercell_[i], so a partition or degradation
-    // parks or drops on both -- see set_link_down_impl and
-    // apply_fault_plan), a ReliableChannel restoring exactly-once
-    // delivery over it, and the registered ring edge as the arrival hop
-    // carrying the checkpoint to the neighbor's shard.
-    drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
-        popcorn::drain_metadata());
-    drain_links_.reserve(n);
-    drain_arrivals_.reserve(n);
+    // The ring is the one cross-cell transport.  Link i lives on cell
+    // i's shard and is route-less, so its completions fire on the
+    // sender's shard; the registered ring edge's channel is the arrival
+    // hop to the neighbor's shard.  Handoffs ride the link directly,
+    // checkpoint drains through a ReliableChannel wrapping the same
+    // link, so both share its bandwidth, partitions and degradation.
+    intercell_.reserve(n);
+    ring_arrivals_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      drain_links_.push_back(std::make_unique<hw::Link>(
+      intercell_.push_back(std::make_unique<hw::Link>(
           engine_->sim_of(x86_nodes_[i]), cluster_.intercell));
-      drain_arrivals_.push_back(engine_->channel_between(
+      ring_arrivals_.push_back(engine_->channel_between(
           x86_nodes_[i], x86_nodes_[(i + 1) % n]));
     }
+    drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
+        popcorn::drain_metadata());
     build_drain_channels();
   }
 
@@ -136,9 +104,6 @@ void ClusterExperiment::register_all_metrics() {
     cells_[i]->server().register_metrics(registry_, prefix + ".sched");
     if (i < intercell_.size()) {
       intercell_[i]->register_metrics(registry_, prefix + ".link");
-    }
-    if (i < drain_links_.size()) {
-      drain_links_[i]->register_metrics(registry_, prefix + ".drain.link");
     }
     if (i < drain_channels_.size()) {
       // The drain channels are torn down and rebuilt by
@@ -180,7 +145,7 @@ void ClusterExperiment::build_drain_channels() {
     // Each channel's jitter stream is split per cell from the gray
     // seed: deterministic, but de-synchronized across cells.
     drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
-        engine_->sim_of(x86_nodes_[i]), *drain_links_[i],
+        engine_->sim_of(x86_nodes_[i]), *intercell_[i],
         fault_opts_.drain_channel,
         Rng(fault_opts_.gray_seed).split(0x5000 + i)));
   }
@@ -211,7 +176,11 @@ void ClusterExperiment::handoff(std::size_t from, std::uint64_t bytes,
   XAR_EXPECTS(cells_.size() > 1);
   XAR_EXPECTS(from < cells_.size());
   handoffs_.fetch_add(1, std::memory_order_relaxed);
-  intercell_[from]->transfer(bytes, std::move(on_arrival));
+  intercell_[from]->transfer(
+      bytes, [ring = &ring_arrivals_[from],
+              cb = std::move(on_arrival)]() mutable {
+        ring->deliver(std::move(cb));
+      });
 }
 
 std::size_t ClusterExperiment::completed_apps() const {
@@ -273,8 +242,10 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
       case sim::FaultEvent::Kind::kLinkUp: {
         XAR_EXPECTS(n > 1 && victim < intercell_.size());
         const bool down = ev.kind == sim::FaultEvent::Kind::kLinkDown;
+        // Handoffs and checkpoint drains share the ring link, so a
+        // partition parks both.
         shard.schedule_at(ev.at, [this, victim, down] {
-          set_link_down_impl(victim, down);
+          intercell_[victim]->set_down(down);
         });
         break;
       }
@@ -302,20 +273,16 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
       }
       case sim::FaultEvent::Kind::kLinkDegraded: {
         XAR_EXPECTS(n > 1 && victim < intercell_.size());
-        // Handoffs and drains share the physical pipe, so both links
-        // degrade together (distinct drop streams: they are separate
-        // flows on it).
+        // Stream leg 1 is the drop pattern gray-storm traces were
+        // recorded with (tests/trace_digest_test.cpp pins it).
         const double drop = ev.magnitude;
         const double factor = fault_opts_.degraded_latency_factor;
-        Rng ic = stream(ev.kind, victim, 0);
-        Rng dr = stream(ev.kind, victim, 1);
-        shard.schedule_at(ev.at, [this, victim, factor, drop, ic, dr] {
-          intercell_[victim]->set_degraded(factor, drop, ic);
-          drain_links_[victim]->set_degraded(factor, drop, dr);
+        Rng rng = stream(ev.kind, victim, 1);
+        shard.schedule_at(ev.at, [this, victim, factor, drop, rng] {
+          intercell_[victim]->set_degraded(factor, drop, rng);
         });
         shard.schedule_at(ev.until, [this, victim] {
           intercell_[victim]->clear_degraded();
-          drain_links_[victim]->clear_degraded();
         });
         break;
       }
@@ -332,17 +299,17 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         break;
       }
       case sim::FaultEvent::Kind::kDsmCorrupt: {
-        // The victim's DSM-backed drain path starts corrupting
-        // payloads; the frame checksum catches each one and the
-        // reliable channel re-sends it.
+        // The victim's ring link starts corrupting verified frames
+        // (the drain payloads); the frame checksum catches each one and
+        // the reliable channel re-sends it.
         XAR_EXPECTS(n > 1 && victim < n);
         const double p = ev.magnitude;
         Rng rng = stream(ev.kind, victim, 0);
         shard.schedule_at(ev.at, [this, victim, p, rng] {
-          drain_links_[victim]->set_corrupting(p, rng);
+          intercell_[victim]->set_corrupting(p, rng);
         });
         shard.schedule_at(ev.until, [this, victim] {
-          drain_links_[victim]->clear_corrupting();
+          intercell_[victim]->clear_corrupting();
         });
         break;
       }
@@ -362,7 +329,7 @@ void ClusterExperiment::kill_cell(std::size_t i) {
 void ClusterExperiment::set_link_down(std::size_t i, bool down) {
   XAR_EXPECTS(cells_.size() > 1 && i < intercell_.size());
   engine_->sim_of(x86_nodes_[i]).schedule_at(
-      now(), [this, i, down] { set_link_down_impl(i, down); });
+      now(), [this, i, down] { intercell_[i]->set_down(down); });
 }
 
 std::uint64_t ClusterExperiment::submit(std::size_t i,
@@ -475,7 +442,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
   // fires on the neighbor's shard once both legs finish.  Until then
   // the record travels inside the channel message and nobody touches
   // it -- every retry timer and duplicate-suppression decision runs on
-  // *this* (the sender's) shard, because the drain link is route-less.
+  // *this* (the sender's) shard, because the ring link is route-less.
   popcorn::DrainTicket ticket;
   ticket.job = id;
   ticket.app_index = job.app_index;
@@ -498,15 +465,10 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
     if (--join->remaining != 0) return;
     // Both legs done on shard c: cross to the neighbor's shard (the
     // registered ring edge) and re-materialize there.
-    popcorn::ThreadStack arrived = std::move(join->stack);
-    if (drain_arrivals_[c].connected()) {
-      drain_arrivals_[c].deliver(
-          [this, dst, arrived = std::move(arrived)]() mutable {
-            land_job(dst, std::move(arrived));
-          });
-      return;
-    }
-    land_job(dst, std::move(arrived));
+    ring_arrivals_[c].deliver(
+        [this, dst, arrived = std::move(join->stack)]() mutable {
+          land_job(dst, std::move(arrived));
+        });
   };
   sim::Simulation& src = engine_->sim_of(x86_nodes_[c]);
   const std::uint64_t tid = trace_id_of(id);
@@ -516,7 +478,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
                      src.now());
     // The transform leg's duration is known up front; the transfer leg
     // closes when the reliable channel delivers (retries included) --
-    // its completion fires on this shard because the drain link is
+    // its completion fires on this shard because the ring link is
     // route-less.
     tracer_->emit(lane, obs::kTrackDrain, "drain.transform", tid, src.now(),
                   src.now() + transform_cost);
@@ -574,13 +536,6 @@ void ClusterExperiment::kill_cell_impl(std::size_t c) {
   }
 }
 
-void ClusterExperiment::set_link_down_impl(std::size_t l, bool down) {
-  // The drain link models the same physical pipe as the handoff link,
-  // so a partition parks checkpoints and handoffs alike.
-  intercell_[l]->set_down(down);
-  drain_links_[l]->set_down(down);
-}
-
 bool ClusterExperiment::run_until_jobs_complete(Duration horizon) {
   sim::ShardedSimulation& ssim = engine_->engine();
   const TimePoint h = ssim.now() + horizon;
@@ -629,9 +584,6 @@ ClusterExperiment::JobStats ClusterExperiment::job_stats() const {
     s.channel_retries += ch->stats().retries;
     s.corrupt_recovered += ch->stats().corrupt_detected;
     s.duplicates_suppressed += ch->stats().duplicates_suppressed;
-  }
-  for (const auto& link : drain_links_) {
-    s.link_drops += link->stats().dropped_transfers;
   }
   for (const auto& link : intercell_) {
     s.link_drops += link->stats().dropped_transfers;

@@ -1,25 +1,24 @@
 // Cluster experiment: N testbed cells on the sharded engine, derived.
 //
 // A ClusterExperiment builds an N-cell cluster from a declarative
-// ClusterSpec: it registers every cell's components as nodes of a
-// sim::Topology (cell i's components carry affinity group i), registers
-// the interactions -- the FPGA's reconfiguration notify, the scheduler
-// reply hop, and the inter-cell links (a ring, each carrying the
-// modeled Ethernet latency) -- as edges, and lets the partitioner map
-// the graph onto ShardedSimulation shards, auto-picking the largest
-// legal epoch.  Each cell is then a full exp::Experiment (compiler
-// pipeline, threshold table, scheduler, executor) constructed against
-// its shard's engine through the testbed's shard-aware hook, so the
-// sharded core is the default execution engine rather than a
-// hand-wired special case:
+// ClusterSpec: it registers every cell as a node of a sim::Topology
+// (cell i carries affinity group i), registers the inter-cell links (a
+// ring, each carrying the modeled Ethernet latency) as edges, and lets
+// the partitioner map the graph onto ShardedSimulation shards,
+// auto-picking the largest legal epoch.  Each cell is then a full
+// exp::Experiment (compiler pipeline, threshold table, scheduler,
+// executor) constructed against its shard's engine through the
+// testbed's shard-aware hook, so the sharded core is the default
+// execution engine rather than a hand-wired special case:
 //
 //   * 1 cell degenerates to one shard whose trace is identical to
 //     exp::Experiment on the classic single-queue testbed (pinned by
 //     tests/topology_test.cpp);
 //   * N cells run the same per-cell model on N shards, serial or
-//     parallel, trace-identical either way, with cross-cell job
-//     handoffs riding the inter-cell links through the derived
-//     channels.
+//     parallel, trace-identical either way.  The ring is the one
+//     cross-cell transport: job handoffs and checkpoint drains both
+//     ride ring link i (sharing its bandwidth) and cross to the
+//     neighbor's shard through the ring edge's derived channel.
 //
 // Background load scales with the cluster: set_background_load spreads
 // the cohort over the cells through apps::ShardedLoadGenerator, whose
@@ -150,9 +149,10 @@ class ClusterExperiment {
   }
 
   /// Hand a job off from cell `from` to its ring neighbor: `bytes` of
-  /// state ride the inter-cell link, and `on_arrival` fires on the
-  /// neighbor's shard once the last byte lands (plus the registered
-  /// edge latency).  Requires a multi-cell cluster.
+  /// state ride the inter-cell link (sharing it with any checkpoint
+  /// drains), and `on_arrival` fires on the neighbor's shard once the
+  /// last byte lands (plus the registered edge latency).  Requires a
+  /// multi-cell cluster.
   void handoff(std::size_t from, std::uint64_t bytes,
                sim::UniqueCallback on_arrival);
   [[nodiscard]] std::size_t handoff_target(std::size_t from) const {
@@ -250,7 +250,7 @@ class ClusterExperiment {
   // --- observability ----------------------------------------------------
 
   /// The cluster's metrics registry.  Every cell's scheduler (and slot
-  /// scheduler), the ring/drain links, the drain channels, and the
+  /// scheduler), the ring links, the drain channels, and the
   /// sharded engine are registered at construction under
   /// "cell<i>.sched", "cell<i>.link", "cell<i>.drain" and "sim";
   /// tracked-job latencies feed the "cluster.job.latency_ms" histogram.
@@ -305,7 +305,6 @@ class ClusterExperiment {
   /// Re-materialize a drained checkpoint on `dst` (runs on dst's shard).
   void land_job(std::size_t dst, popcorn::ThreadStack stack);
   void kill_cell_impl(std::size_t c);
-  void set_link_down_impl(std::size_t l, bool down);
   /// (Re)build the per-cell reliable drain channels from fault_opts_.
   void build_drain_channels();
 
@@ -313,12 +312,13 @@ class ClusterExperiment {
   ClusterSpec cluster_;
   /// Per-cell topology nodes (index = cell).
   std::vector<sim::NodeId> x86_nodes_;
-  std::vector<sim::NodeId> fpga_nodes_;
-  std::vector<sim::NodeId> sched_nodes_;
   std::unique_ptr<sim::PartitionedEngine> engine_;
   std::vector<std::unique_ptr<Experiment>> cells_;
   /// Ring link i: cell i -> cell (i+1) mod N (empty for one cell).
+  /// Route-less: completions fire on cell i's shard, and
+  /// ring_arrivals_[i] carries the arrival to the neighbor's shard.
   std::vector<std::unique_ptr<hw::Link>> intercell_;
+  std::vector<sim::CrossShardChannel> ring_arrivals_;
   std::unique_ptr<apps::ShardedLoadGenerator> load_;
   /// Atomic: in parallel mode every cell's shard thread may hand off
   /// concurrently.
@@ -337,18 +337,14 @@ class ClusterExperiment {
   /// a mismatch marks a ghost completion from before the kill.
   std::vector<std::uint8_t> cell_dead_;
   std::vector<std::uint64_t> cell_epoch_;
-  /// Drain path, one per cell (multi-cell only): a dedicated route-less
-  /// local link (same physical pipe as intercell_[i], so partitions and
-  /// degradations hit both -- and its completions fire on the *sender's*
-  /// shard, which is what lets the reliable channel keep all its retry
-  /// state on one shard), a ReliableChannel restoring exactly-once
-  /// delivery over it, and the registered ring edge as the cross-shard
-  /// arrival hop -- checkpoints transform on the dying shard and
-  /// re-materialize on the neighbor's.
+  /// Drain path, one per cell (multi-cell only): a ReliableChannel
+  /// restoring exactly-once delivery over ring link i.  The link's
+  /// completions fire on the *sender's* shard, which is what lets the
+  /// channel keep all its retry state on one shard; ring_arrivals_[i]
+  /// is the cross-shard hop -- checkpoints transform on the dying shard
+  /// and re-materialize on the neighbor's.
   std::unique_ptr<popcorn::StateTransformer> drain_transformer_;
-  std::vector<std::unique_ptr<hw::Link>> drain_links_;
   std::vector<std::unique_ptr<hw::ReliableChannel>> drain_channels_;
-  std::vector<sim::CrossShardChannel> drain_arrivals_;
 
   // Observability.  The registry owns the job-latency histogram (one
   // lane per cell: completions record on the completing cell's shard);

@@ -49,20 +49,6 @@ FpgaDevice::FpgaDevice(sim::Simulation& sim, hw::Link& pcie, FpgaSpec spec,
                        Logger log)
     : sim_(sim), pcie_(pcie), spec_(std::move(spec)), log_(std::move(log)) {}
 
-void FpgaDevice::notify_done(ReconfigureCallback done,
-                             ReconfigureResult result) {
-  if (notify_.connected()) {
-    // The requester (the scheduler) lives on another shard: the
-    // completion crosses through its mailbox, paying the channel
-    // latency instead of returning inline.
-    notify_.deliver([done = std::move(done), result]() mutable {
-      done(result);
-    });
-    return;
-  }
-  done(result);
-}
-
 void FpgaDevice::finish_port(ReconfigureCallback done,
                              ReconfigureResult result) {
   reconfig_active_ = false;
@@ -70,7 +56,7 @@ void FpgaDevice::finish_port(ReconfigureCallback done,
   // `reconfiguring()` stays true continuously when requests are
   // stacked.  An offline card keeps its queue parked.
   if (!offline_) start_reconfigure();
-  notify_done(std::move(done), result);
+  done(result);
 }
 
 void FpgaDevice::retire_cus(
@@ -126,9 +112,8 @@ void FpgaDevice::reconfigure(const XclbinImage& image,
     log_.warn("fpga: reconfiguration of ", image.id,
               " dropped -- device offline");
     sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kOfflineDrop);
+                     [done = std::move(on_done)]() mutable {
+                       done(ReconfigureResult::kOfflineDrop);
                      });
     return;
   }
@@ -155,9 +140,8 @@ void FpgaDevice::reconfigure_slot(std::uint32_t slot,
     log_.warn("fpga: ", kernel.name, " x", replicas,
               " does not fit slot ", slot, " -- refused");
     sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kNoFit);
+                     [done = std::move(on_done)]() mutable {
+                       done(ReconfigureResult::kNoFit);
                      });
     return;
   }
@@ -165,9 +149,8 @@ void FpgaDevice::reconfigure_slot(std::uint32_t slot,
     log_.warn("fpga: slot programming of ", kernel.name,
               " dropped -- device offline");
     sim_.schedule_in(Duration::zero(),
-                     [this, done = std::move(on_done)]() mutable {
-                       notify_done(std::move(done),
-                                   ReconfigureResult::kOfflineDrop);
+                     [done = std::move(on_done)]() mutable {
+                       done(ReconfigureResult::kOfflineDrop);
                      });
     return;
   }
@@ -198,9 +181,8 @@ void FpgaDevice::set_offline(bool offline) {
     // Drop queued downloads; their completions fire as offline drops.
     for (auto& req : reconfig_queue_) {
       sim_.schedule_in(Duration::zero(),
-                       [this, done = std::move(req.on_done)]() mutable {
-                         notify_done(std::move(done),
-                                     ReconfigureResult::kOfflineDrop);
+                       [done = std::move(req.on_done)]() mutable {
+                         done(ReconfigureResult::kOfflineDrop);
                        });
     }
     reconfig_queue_.clear();

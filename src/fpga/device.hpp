@@ -37,9 +37,7 @@
 #include "hw/link.hpp"
 #include "sim/callback.hpp"
 #include "sim/fifo_station.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::fpga {
 
@@ -253,16 +251,6 @@ class FpgaDevice {
   void clear_port_flaky() { flaky_ = false; }
   [[nodiscard]] bool port_flaky() const { return flaky_; }
 
-  /// Topology registration: the device is node `self`, the scheduler
-  /// that consumes reconfiguration completions is node `scheduler`.
-  /// When the partitioner put them on different shards, `reconfigure`'s
-  /// `on_done` is delivered through the registered edge's channel;
-  /// otherwise completions keep firing on this device's shard.
-  void register_notify(sim::PartitionedEngine& eng, sim::NodeId self,
-                       sim::NodeId scheduler) {
-    notify_ = eng.channel_between(self, scheduler);
-  }
-
   /// Completed reconfigurations (diagnostics / tests).  Slot
   /// programmings count individually.
   [[nodiscard]] std::uint64_t reconfigurations() const { return reconfigs_; }
@@ -313,9 +301,6 @@ class FpgaDevice {
   void start_whole_image(PendingReconfig req);
   void start_slot(PendingReconfig req);
   void finish_port(ReconfigureCallback done, ReconfigureResult result);
-  /// Fire `done(result)` locally, or through the notify channel when
-  /// one is set.
-  void notify_done(ReconfigureCallback done, ReconfigureResult result);
   /// Least-backlogged CU hosting `name` across slots; null if absent.
   [[nodiscard]] sim::FifoStation* pick_slot_cu(const std::string& name,
                                                const HwKernelConfig** cfg);
@@ -334,7 +319,6 @@ class FpgaDevice {
   hw::Link& pcie_;
   FpgaSpec spec_;
   Logger log_;
-  sim::CrossShardChannel notify_;
 
   std::optional<XclbinImage> loaded_;
   std::map<std::string, LoadedKernel> kernels_;

@@ -139,20 +139,7 @@ void Link::clear_corrupting() {
 
 void Link::enter_pool(double mb) {
   XAR_ASSERT(!in_latency_.empty());
-  Callback cb = in_latency_.pop();
-  if (delivery_.connected()) {
-    // The receiver lives on another shard: when the last byte lands,
-    // hand the completion to the mailbox instead of running it here.
-    const std::uint32_t slot = remote_.acquire();
-    remote_[slot] = std::move(cb);
-    pool_.submit(mb, [this, slot] {
-      Callback done = std::move(remote_[slot]);
-      remote_.release(slot);
-      delivery_.deliver(std::move(done));
-    });
-    return;
-  }
-  pool_.submit(mb, std::move(cb));
+  pool_.submit(mb, in_latency_.pop());
 }
 
 void Link::register_metrics(obs::Registry& registry,

@@ -16,10 +16,11 @@
 #include "sim/callback.hpp"
 #include "sim/ps_resource.hpp"
 #include "sim/ring.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
-#include "sim/slot_pool.hpp"
-#include "sim/topology.hpp"
+
+namespace xartrek::obs {
+class Registry;
+}  // namespace xartrek::obs
 
 namespace xartrek::hw {
 
@@ -82,19 +83,6 @@ class Link {
   using VerifiedCallback = sim::UniqueFunction<void(bool)>;
   void transfer_verified(std::uint64_t bytes, std::uint64_t checksum,
                          VerifiedCallback on_complete);
-
-  /// Topology registration: this link's sending end is node `self`,
-  /// its receiving end node `receiver`, and the partitioner already
-  /// derived where both live.  Completions are routed to the far end's
-  /// shard through the registered `self -> receiver` edge's channel --
-  /// or stay local when the partitioner put both on one shard.  This
-  /// replaces hand-assembled CrossShardChannel wiring at call sites.
-  /// Completions stay pooled: the in-pool event captures only
-  /// {this, slot}, so the steady state remains allocation-free.
-  void register_route(sim::PartitionedEngine& eng, sim::NodeId self,
-                      sim::NodeId receiver) {
-    delivery_ = eng.channel_between(self, receiver);
-  }
 
   /// Fault injection: partition the link.  While down, new admissions
   /// park FIFO instead of entering the wire; transfers already in their
@@ -162,12 +150,6 @@ class Link {
   /// A ring, not a deque: a windowed page stream makes this queue
   /// breathe every wave, and deque chunk churn would allocate each time.
   sim::RingQueue<Callback> in_latency_;
-  /// Cross-shard delivery (inert by default: completions fire locally).
-  sim::CrossShardChannel delivery_;
-  /// Completions awaiting bandwidth when deliveries are remote; the
-  /// PS pool finishes transfers out of order, so FIFO parking does not
-  /// work here -- slots do.
-  sim::SlotPool<Callback> remote_;
   /// Partition state: admissions refused while down wait here, FIFO.
   struct ParkedTransfer {
     std::uint64_t bytes = 0;

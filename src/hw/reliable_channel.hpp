@@ -9,11 +9,12 @@
 // attempt racing its own retry) are suppressed by the sequence number
 // so the completion callback fires exactly once.
 //
-// Shard discipline: the channel's state lives on the sending side, so
-// it requires a route-less link -- one whose completions fire on the
-// sender's own shard (the drain/control-plane shape; see
-// Link::register_route).  All timers and retries then run on one shard
-// and the retry trace is deterministic.
+// Shard discipline: the channel's state lives on the sending side.  An
+// hw::Link's completions always fire on the shard that owns it, so all
+// timers and retries run on the sender's shard and the retry trace is
+// deterministic; a caller that needs the payload on another shard
+// forwards it from the completion through a sim::CrossShardChannel
+// (exp::ClusterExperiment's checkpoint drains do exactly that).
 #pragma once
 
 #include <cstdint>

@@ -47,10 +47,8 @@
 #include "runtime/target.hpp"
 #include "runtime/threshold_table.hpp"
 #include "sim/callback.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_pool.hpp"
-#include "sim/topology.hpp"
 
 namespace xartrek::runtime {
 
@@ -92,10 +90,6 @@ class SchedulerServer {
     /// XCLBIN loads.  Off = traditional blocking configure-on-use
     /// (ablation 3 in DESIGN.md).
     bool hide_reconfiguration = true;
-    /// When the clients live on another simulation shard, decisions are
-    /// delivered through this channel (its latency replaces the local
-    /// callback's zero-cost return hop).  Inert by default.
-    sim::CrossShardChannel reply_channel;
     /// Eviction/replication tunables for the slot scheduler the server
     /// builds when the device is in slot mode.  Ignored otherwise.
     fpga::SlotScheduler::Options slot_policy;
@@ -192,17 +186,6 @@ class SchedulerServer {
   /// overload); the decision itself is identical either way.
   void request_placement(std::string_view app, std::uint32_t pid,
                          DecisionCallback on_decision);
-
-  /// Topology registration: the server is node `self`, its clients node
-  /// `client`.  When the partitioner put them on different shards,
-  /// decisions are delivered through the registered edge's channel
-  /// (its latency is the far-side hop); otherwise the decision
-  /// callback keeps running locally.  Replaces hand-assembling
-  /// Options::reply_channel at call sites.
-  void register_reply(sim::PartitionedEngine& eng, sim::NodeId self,
-                      sim::NodeId client) {
-    opts_.reply_channel = eng.channel_between(self, client);
-  }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return opts_; }
@@ -335,8 +318,6 @@ class SchedulerServer {
   /// batch-shared load sample and its decoded view.
   void finish_one(std::uint32_t slot, int load,
                   const PlacementRequestView& request);
-  /// Run or remotely deliver one client's decision callback.
-  void answer(DecisionCallback cb, PlacementDecision decision);
 
   sim::Simulation& sim_;
   LoadMonitor& monitor_;

@@ -207,6 +207,42 @@ TEST(ChaosClusterTest, KillWithPartitionedDrainPathStillConservesJobs) {
   EXPECT_GE(stats.max_latency_ms, 150.0);
 }
 
+/// Completion instant of one tracked job drained off cell 0 at 50 ms,
+/// optionally racing a burst of large handoffs on the same ring link.
+double drained_job_completion_ms(bool with_handoffs) {
+  const auto specs = apps::paper_benchmarks();
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
+  cluster.submit(0, "facedet320");
+  if (with_handoffs) {
+    cluster.cell(0).simulation().schedule_at(TimePoint::at_ms(40.0), [&] {
+      for (int k = 0; k < 8; ++k) {
+        cluster.handoff(0, std::uint64_t{16} << 20, [] {});
+      }
+    });
+  }
+  sim::FaultPlan plan;
+  plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(50.0), 0});
+  cluster.apply_fault_plan(plan);
+  EXPECT_TRUE(cluster.run_until_jobs_complete());
+  EXPECT_EQ(cluster.job_stats().drained, 1u);
+  return cluster.job_completion_times_ms().at(0);
+}
+
+TEST(ChaosClusterTest, DrainSharesRingBandwidthWithHandoff) {
+  // Handoffs and checkpoint drains are two flows on one ring link: a
+  // drain launched while 128 MiB of handoffs occupy the wire gets only
+  // a share of its bandwidth, so the drained job lands -- and
+  // completes -- later than on an idle ring.
+  const double idle = drained_job_completion_ms(false);
+  const double busy = drained_job_completion_ms(true);
+  EXPECT_GT(idle, 50.0);
+  EXPECT_GT(busy, idle);
+}
+
 std::vector<double> run_chaos_cluster(bool parallel) {
   const auto specs = apps::paper_benchmarks();
   exp::ClusterSpec spec;

@@ -12,12 +12,6 @@
 #include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/threshold_estimator.hpp"
-#include "hw/link.hpp"
-#include "isa/isa.hpp"
-#include "popcorn/machine_state.hpp"
-#include "popcorn/metadata.hpp"
-#include "popcorn/migration_runtime.hpp"
-#include "popcorn/state_transform.hpp"
 #include "sim/topology.hpp"
 
 namespace xartrek {
@@ -215,58 +209,6 @@ TEST(PartitionedEngineTest, LiveRemapMovesShardsAndKeepsChannelsValid) {
   });
   eng.engine().run();
   EXPECT_GT(second, first);
-}
-
-TEST(PartitionedEngineTest, LinkRegistersRouteAcrossCells) {
-  sim::Topology topo;
-  const auto src = topo.add_node("cell0/x86", 0);
-  const auto dst = topo.add_node("cell1/x86", 1);
-  topo.add_edge(src, dst, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-
-  hw::Link link(eng.sim_of(src), hw::LinkSpec{"wire", 1.0,
-                                              Duration::ms(0.25)});
-  link.register_route(eng, src, dst);
-  double arrived_at = -1.0;
-  eng.sim_of(src).schedule_at(TimePoint::at_ms(1.0), [&] {
-    link.transfer(0, [&] { arrived_at = eng.sim_of(dst).now().to_ms(); });
-  });
-  eng.engine().run();
-  // send + link latency + 0-byte payload + registered edge latency.
-  EXPECT_NEAR(arrived_at, 1.0 + 0.25 + 2.0, 1e-9);
-}
-
-TEST(PartitionedEngineTest, MigrationArrivalResumesOnDestinationShard) {
-  sim::Topology topo;
-  const auto src = topo.add_node("x86", 0);
-  const auto dst = topo.add_node("arm", 1);
-  topo.add_edge(src, dst, Duration::ms(2.0));
-  sim::PartitionedEngine eng(std::move(topo));
-
-  hw::Link eth(eng.sim_of(src), hw::ethernet_1gbps());
-  popcorn::CallSiteMetadata site;
-  site.function = "hot";
-  site.site_id = 1;
-  site.frame_size[isa::IsaKind::kX86_64] = 32;
-  site.frame_size[isa::IsaKind::kAarch64] = 32;
-  popcorn::MigrationMetadata md;
-  md.add_site(std::move(site));
-  const popcorn::StateTransformer transformer(md);
-  popcorn::MigrationRuntime runtime(eng.sim_of(src), eth, transformer);
-  runtime.register_arrival(eng, src, dst);
-
-  double arrived_at = -1.0;
-  popcorn::MachineState x86(isa::IsaKind::kX86_64, "hot", 1, 32);
-  runtime.migrate(x86, isa::IsaKind::kAarch64, /*working_set_bytes=*/0,
-                  [&](popcorn::MachineState st) {
-                    EXPECT_EQ(st.isa(), isa::IsaKind::kAarch64);
-                    arrived_at = eng.sim_of(dst).now().to_ms();
-                  });
-  eng.engine().run();
-  // The resume fires on the destination shard, the registered 2 ms
-  // edge latency after the wire burst lands.
-  EXPECT_GT(arrived_at, 2.0);
-  EXPECT_EQ(runtime.migrations(), 1u);
 }
 
 // --- cluster experiment -----------------------------------------------------
