@@ -47,6 +47,9 @@ METRICS = {
         ("protocol.borrowed_speedup", "higher", False),
         ("sharded.ratio_1shard_vs_single_queue", "higher", False),
         ("sharded.aggregate_speedup_4_shards", "higher", False),
+        # Sparse serial windows (a few events each) vs the same lanes on
+        # one queue: per-window engine overhead, e.g. clock reads.
+        ("sharded.sparse_serial_vs_single_queue", "higher", False),
         ("events.steady_churn.pooled.events_per_sec", "higher", True),
         ("protocol.single_pass.requests_per_sec", "higher", True),
         ("sharded.single_queue.wall_events_per_sec", "higher", True),

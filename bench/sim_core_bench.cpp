@@ -358,8 +358,11 @@ struct ShardResult {
   std::uint64_t events = 0;
   std::uint64_t posts = 0;
   std::uint64_t stalls = 0;
+  std::uint64_t windows = 0;  ///< synchronization windows (0: one queue)
   /// Sum over shards of events_i / busy_i: aggregate processing
-  /// capacity with one core per shard.  On an unloaded multicore host
+  /// capacity with one core per shard, for parallel and 1-shard serial
+  /// runs (a serial span's busy time is split by events, so every
+  /// serial shard reads the same rate).  On an unloaded multicore host
   /// this converges to wall_events_per_sec.
   double aggregate_events_per_sec = 0;
 };
@@ -392,6 +395,7 @@ ShardResult run_sharded(std::size_t shards, bool parallel,
   ShardResult r;
   r.wall_seconds = seconds_since(start);
   r.events = ran;
+  r.windows = ssim.windows();
   for (sim::ShardId s = 0; s < ssim.shard_count(); ++s) {
     const sim::ShardStats& st = ssim.stats(s);
     r.busy_seconds += st.busy_seconds;
@@ -500,7 +504,8 @@ void emit_sharded(std::ostream& os, const char* key, const ShardResult& r) {
      << "      \"aggregate_events_per_sec\": " << r.aggregate_events_per_sec
      << ",\n"
      << "      \"posts\": " << r.posts << ",\n"
-     << "      \"backpressure_stalls\": " << r.stalls << "\n    }";
+     << "      \"backpressure_stalls\": " << r.stalls << ",\n"
+     << "      \"windows\": " << r.windows << "\n    }";
 }
 
 int bench_main() {
@@ -516,6 +521,14 @@ int bench_main() {
   // 4x the chain count of the churn scenarios, so each epoch carries
   // enough work to amortize the boundary synchronization.
   constexpr std::size_t kShardChains = 1024;
+  // Sparse windows: 8 lanes over 4 serial shards average a handful of
+  // events per window, so the per-window engine overhead (boundary
+  // scans, any clock reads) dominates instead of the events.  Same
+  // size in smoke mode: the single-queue side already runs only tens
+  // of ms, and a shorter run would put the gated ratio in timer noise.
+  constexpr std::uint64_t kSparseEvents = 425'000;
+  constexpr std::size_t kSparseChains = 8;
+  constexpr std::size_t kSparseShards = 4;
 
   using Pooled = sim::Simulation;
   using PooledHandle = sim::Simulation::EventHandle;
@@ -577,6 +590,25 @@ int bench_main() {
       single_a.aggregate_events_per_sec >= single_b.aggregate_events_per_sec
           ? single_a
           : single_b;
+  // Wall time on both sides: serial busy time is one span measurement
+  // either way, so the same-run wall ratio is the direct comparison.
+  auto min_wall = [](auto f) {
+    const auto a = f();
+    const auto b = f();
+    return a.wall_seconds <= b.wall_seconds ? a : b;
+  };
+  const auto sparse_serial = min_wall([&] {
+    return run_sharded(kSparseShards, /*parallel=*/false, kSparseEvents,
+                       kSparseChains);
+  });
+  const auto sparse_single = min_wall([&] {
+    return run_single_queue(kSparseEvents, kSparseChains);
+  });
+  const double sparse_ratio =
+      (static_cast<double>(sparse_serial.events) /
+       sparse_serial.wall_seconds) /
+      (static_cast<double>(sparse_single.events) /
+       sparse_single.wall_seconds);
   const auto shard_1 = best_sharded(1, /*parallel=*/false);
   const auto shard_2 = best_sharded(2, /*parallel=*/true);
   const auto shard_4 = best_sharded(4, /*parallel=*/true);
@@ -641,7 +673,12 @@ int bench_main() {
   emit_sharded(out, "shards_2", shard_2);
   out << ",\n";
   emit_sharded(out, "shards_4", shard_4);
-  out << ",\n    \"ratio_1shard_vs_single_queue\": " << one_shard_ratio
+  out << ",\n";
+  emit_sharded(out, "sparse_serial", sparse_serial);
+  out << ",\n";
+  emit_sharded(out, "sparse_single_queue", sparse_single);
+  out << ",\n    \"sparse_serial_vs_single_queue\": " << sparse_ratio
+      << ",\n    \"ratio_1shard_vs_single_queue\": " << one_shard_ratio
       << ",\n    \"aggregate_speedup_4_shards\": " << aggregate_speedup_4
       << ",\n    \"wall_speedup_4_shards\": " << wall_speedup_4
       << "\n  }\n}\n";
@@ -673,6 +710,9 @@ int bench_main() {
             << shard_4.aggregate_events_per_sec
             << " ev/s (speedup " << aggregate_speedup_4 << ", wall "
             << wall_speedup_4 << ")\n"
+            << "[sim_core_bench] sparse serial: " << sparse_serial.windows
+            << " windows for " << sparse_serial.events
+            << " events, wall ratio vs single queue=" << sparse_ratio << "\n"
             << "[sim_core_bench] wrote BENCH_sim_core.json\n";
   return 0;
 }

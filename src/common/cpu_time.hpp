@@ -2,9 +2,14 @@
 //
 // The sharded engine's per-shard busy accounting and the scaling bench
 // both need "CPU seconds this thread actually executed": unlike wall
-// time it excludes barrier waits and time spent descheduled, so
-// summing events/busy across shards measures aggregate processing
-// capacity even on an oversubscribed host.
+// time it excludes barrier waits and time spent descheduled.  On Linux
+// each reading is a clock_gettime(CLOCK_THREAD_CPUTIME_ID) syscall
+// (hundreds of ns, against tens for the vDSO monotonic clock), so the
+// engine reads it per span, not per window: a parallel worker measures
+// its own span, and a serial span is measured once and split across
+// shards by the events each executed.  Summing events/busy across
+// shards therefore measures aggregate processing capacity, even on an
+// oversubscribed host, only for parallel runs and 1-shard serial runs.
 #pragma once
 
 #if defined(__linux__)

@@ -105,6 +105,7 @@ ShardedSimulation::ShardedSimulation(Options opts) : opts_(opts) {
                       ? opts.max_epoch.to_ms()
                       : base_epoch_ms_;
   executed_at_rebalance_.assign(n, 0);
+  span_executed_.assign(n, 0);
   // Pre-size so the boundary step never allocates (it runs inside a
   // noexcept barrier completion).
   load_scratch_.reserve(workers_);
@@ -232,13 +233,10 @@ void ShardedSimulation::drain_inbound(ShardId dst) {
   pending.fetch_sub(drained, std::memory_order_relaxed);
 }
 
-std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end,
-                                           bool account_cpu) {
+std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end) {
   ShardState& s = *shards_[id];
   const std::uint64_t before = s.sim.executed_events();
-  const double cpu0 = account_cpu ? thread_cpu_seconds() : 0.0;
   s.sim.run_until(window_end);
-  if (account_cpu) s.stats.busy_seconds += thread_cpu_seconds() - cpu0;
   const std::uint64_t delta = s.sim.executed_events() - before;
   s.stats.executed += delta;
   return delta;
@@ -343,18 +341,36 @@ bool ShardedSimulation::plan_next_window(double horizon_ms) {
 }
 
 std::size_t ShardedSimulation::run_span_serial(TimePoint horizon) {
-  const std::uint64_t before = executed_events();
+  // One thread-CPU measurement spans the whole call, as in
+  // worker_span: two clock reads per span, none per window.  The span's
+  // CPU time (events plus boundary work) is then credited to each shard
+  // in proportion to the events it executed here, so the shares sum to
+  // the measurement and a shard that ran nothing gets nothing.
+  const std::size_t n = shards_.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    span_executed_[s] = shards_[s]->stats.executed;
+  }
+  const double cpu0 = thread_cpu_seconds();
+  std::uint64_t executed = 0;
   const double horizon_ms = horizon.to_ms();
   for (;;) {
-    for (ShardId s = 0; s < shards_.size(); ++s) flush_spill(s);
-    for (ShardId s = 0; s < shards_.size(); ++s) drain_inbound(s);
+    for (ShardId s = 0; s < n; ++s) flush_spill(s);
+    for (ShardId s = 0; s < n; ++s) drain_inbound(s);
     if (!plan_next_window(horizon_ms)) break;
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
-    for (ShardId s = 0; s < shards_.size(); ++s) {
-      run_shard(s, window_end, /*account_cpu=*/true);
+    for (ShardId s = 0; s < n; ++s) executed += run_shard(s, window_end);
+  }
+  const double cpu = thread_cpu_seconds() - cpu0;
+  if (executed != 0) {
+    for (std::size_t s = 0; s < n; ++s) {
+      ShardStats& st = shards_[s]->stats;
+      // The share is exactly 1.0 for a shard that ran every event, so
+      // a 1-shard run gets the span measurement unchanged.
+      const auto ran = static_cast<double>(st.executed - span_executed_[s]);
+      st.busy_seconds += cpu * (ran / static_cast<double>(executed));
     }
   }
-  return executed_events() - before;
+  return executed;
 }
 
 void ShardedSimulation::on_drained() noexcept {
@@ -399,9 +415,13 @@ void ShardedSimulation::worker_span(std::size_t w) {
     const TimePoint window_end = TimePoint::at_ms(window_end_ms_);
     try {
       for (std::size_t c = 0; c < n; ++c) {
-        if (cell_worker_[c] == w) {
-          executed +=
-              run_shard(static_cast<ShardId>(c), window_end, per_cell_cpu_);
+        if (cell_worker_[c] != w) continue;
+        // Per-window reads only where the map can diverge (see
+        // per_cell_cpu_); the static 1:1 map credits the span below.
+        const double shard_cpu0 = per_cell_cpu_ ? thread_cpu_seconds() : 0.0;
+        executed += run_shard(static_cast<ShardId>(c), window_end);
+        if (per_cell_cpu_) {
+          shards_[c]->stats.busy_seconds += thread_cpu_seconds() - shard_cpu0;
         }
       }
     } catch (...) {

@@ -94,10 +94,16 @@ struct ShardStats {
   /// Posts that found the mailbox full and spilled to the unbounded
   /// overflow (delivery slips by whole epochs, order preserved).
   std::uint64_t backpressure_stalls = 0;
-  /// CPU seconds this shard's thread spent executing events (excludes
-  /// barrier waits and time spent descheduled), so summing
-  /// events/busy_seconds across shards measures aggregate processing
-  /// capacity even on an oversubscribed host.
+  /// Thread-CPU seconds credited to this shard (excludes barrier waits
+  /// and time spent descheduled).  Parallel runs measure the shard's
+  /// own execution: its worker's whole span under the static 1:1 map,
+  /// per-window reads otherwise.  Serial runs measure each span once
+  /// (events plus boundary work) and split it across shards in
+  /// proportion to the events each executed in that span: the shares
+  /// sum to the measurement, and a shard that ran nothing gets 0.  So
+  /// summing events/busy_seconds across shards is a processing-
+  /// capacity figure only for parallel runs and 1-shard serial runs;
+  /// for a serial multi-shard run every shard reads the same rate.
   double busy_seconds = 0.0;
   /// Times the rebalancer moved this shard to another worker.
   std::uint64_t steals = 0;
@@ -270,10 +276,10 @@ class ShardedSimulation {
   void flush_spill(ShardId src);
   /// Drain all inbound mailboxes into the local heap, in source order.
   void drain_inbound(ShardId dst);
-  /// Execute one window on one shard.  `account_cpu` adds per-call
-  /// thread-CPU deltas to busy_seconds; returns events executed.
-  std::uint64_t run_shard(ShardId id, TimePoint window_end,
-                          bool account_cpu);
+  /// Execute one window on one shard; returns events executed.  Reads
+  /// no clock: the caller owns busy-time accounting (per span when
+  /// serial or 1:1 parallel, per window when per_cell_cpu_).
+  std::uint64_t run_shard(ShardId id, TimePoint window_end);
   /// Earliest pending work anywhere (events, spilled messages), or
   /// +inf.  Call only at a boundary (mailboxes already drained).
   [[nodiscard]] double min_next_ms();
@@ -309,10 +315,11 @@ class ShardedSimulation {
   std::size_t workers_ = 1;
   std::vector<std::uint32_t> cell_worker_;
   std::vector<WorkerStats> worker_stats_;
-  /// Per-shard CPU accounting per window when the worker/shard mapping
-  /// is not the static 1:1 (attribution needs per-call deltas);
-  /// otherwise the worker's whole-span measurement doubles as its only
-  /// shard's busy time, PR-3 style.
+  /// Parallel runs only: per-shard CPU accounting per window when the
+  /// worker/shard mapping is not the static 1:1 (attribution needs
+  /// per-call deltas); otherwise the worker's whole-span measurement
+  /// doubles as its only shard's busy time.  Serial runs ignore it and
+  /// always measure once per span (see ShardStats::busy_seconds).
   bool per_cell_cpu_ = false;
 
   // Adaptive-epoch state (touched at boundaries only).
@@ -328,6 +335,9 @@ class ShardedSimulation {
   std::uint64_t steal_moves_ = 0;
   std::vector<std::uint64_t> executed_at_rebalance_;  ///< by shard
   std::vector<std::uint64_t> load_scratch_;           ///< by worker
+  /// Serial spans: each shard's stats.executed at span start, for the
+  /// proportional busy-time split (sized once, so spans never allocate).
+  std::vector<std::uint64_t> span_executed_;
 
   /// End of the window currently executing (what `post` checks the
   /// lookahead contract against).  Written at boundaries only.

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu_time.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
@@ -538,6 +539,41 @@ TEST(ShardedSimulationTest, WorkerStatsAccountEveryEvent) {
     by_shard += ssim.stats(s).executed;
   }
   EXPECT_EQ(by_shard, result.executed);
+}
+
+TEST(ShardedSimulationTest, SerialBusyTimeSplitsSpanByExecutedEvents) {
+  // Shard 0 runs a chain that hands every 10th firing to shard 1;
+  // shard 2 never has an event.  Serial busy time is one span
+  // measurement split by executed events: the idle shard gets exactly
+  // 0, and the shares sum to no more than the caller's own CPU time.
+  ShardedSimulation ssim(
+      ShardedSimulation::Options{3, Duration::ms(1.0), 64, false});
+  constexpr std::uint64_t kFires = 2000;
+  std::uint64_t fired = 0;
+  std::function<void()> fire = [&] {
+    ++fired;
+    if (fired % 10 == 0) {
+      ssim.post(0, 1, ssim.shard(0).now() + Duration::ms(2.0), [] {});
+    }
+    if (fired < kFires) {
+      ssim.shard(0).schedule_in(Duration::ms(0.5), [&] { fire(); });
+    }
+  };
+  ssim.shard(0).schedule_in(Duration::ms(0.5), [&] { fire(); });
+  const double cpu0 = thread_cpu_seconds();
+  EXPECT_EQ(ssim.run(), kFires + kFires / 10);
+  const double caller_cpu = thread_cpu_seconds() - cpu0;
+  EXPECT_GT(ssim.windows(), kFires / 4);
+  EXPECT_EQ(ssim.stats(0).executed, kFires);
+  EXPECT_EQ(ssim.stats(1).executed, kFires / 10);
+  EXPECT_EQ(ssim.stats(2).executed, 0u);
+  EXPECT_EQ(ssim.stats(2).busy_seconds, 0.0);
+  double busy = 0.0;
+  for (ShardId s = 0; s < ssim.shard_count(); ++s) {
+    busy += ssim.stats(s).busy_seconds;
+  }
+  EXPECT_GT(busy, 0.0);
+  EXPECT_LE(busy, caller_cpu);
 }
 
 TEST(ShardedSimulationTest, MailboxHighWaterStatTracksInboundBursts) {
