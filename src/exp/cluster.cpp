@@ -11,6 +11,31 @@
 
 namespace xartrek::exp {
 
+namespace {
+
+// Fault-handling constants.
+/// First re-placement delay after finding a dead cell; doubles per
+/// attempt (exponential backoff), capped at base * 2^cap_exponent.
+constexpr Duration kBackoffBase = Duration::ms(1.0);
+constexpr std::uint32_t kBackoffCapExponent = 6;
+/// Working-set bytes shipped alongside a drained job's checkpoint.
+constexpr std::uint64_t kDrainPayloadBytes = 64 * 1024;
+/// Latency inflation on a kLinkDegraded ring link (the drop probability
+/// rides in the fault event's magnitude).
+constexpr double kDegradedLatencyFactor = 4.0;
+/// Shape of the reliable drain channels (end-to-end retry of checkpoint
+/// payloads).  The timeout must clear one drain payload's worst healthy
+/// transfer; attempts are generous because an abandoned drain is a lost
+/// job.
+constexpr hw::ReliableChannel::Options kDrainChannel = {
+    Duration::ms(10.0), Duration::ms(1.0), 6, 0.25, 16};
+/// Seed of the gray-fault randomness streams (drop/corrupt/flaky draws
+/// and retry jitter), split per victim and kind so injection never
+/// perturbs the workload's own draws.
+constexpr std::uint64_t kGraySeed = 0x6772617946616CULL;  // "grayFal"
+
+}  // namespace
+
 ClusterExperiment::ClusterExperiment(
     std::vector<apps::BenchmarkSpec> specs,
     const runtime::ThresholdTable& seed_table, ClusterSpec cluster,
@@ -75,15 +100,21 @@ ClusterExperiment::ClusterExperiment(
     // link, so both share its bandwidth, partitions and degradation.
     intercell_.reserve(n);
     ring_arrivals_.reserve(n);
+    drain_channels_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      intercell_.push_back(std::make_unique<hw::Link>(
-          engine_->sim_of(x86_nodes_[i]), cluster_.intercell));
+      sim::Simulation& shard = engine_->sim_of(x86_nodes_[i]);
+      intercell_.push_back(
+          std::make_unique<hw::Link>(shard, cluster_.intercell));
       ring_arrivals_.push_back(engine_->channel_between(
           x86_nodes_[i], x86_nodes_[(i + 1) % n]));
+      // Each channel's jitter stream is split per cell from the gray
+      // seed: deterministic, but de-synchronized across cells.
+      drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
+          shard, *intercell_[i], kDrainChannel,
+          Rng(kGraySeed).split(0x5000 + i)));
     }
     drain_transformer_ = std::make_unique<popcorn::StateTransformer>(
         popcorn::drain_metadata());
-    build_drain_channels();
   }
 
   // Observability: registration allocates everything up front (pooled
@@ -106,25 +137,7 @@ void ClusterExperiment::register_all_metrics() {
       intercell_[i]->register_metrics(registry_, prefix + ".link");
     }
     if (i < drain_channels_.size()) {
-      // The drain channels are torn down and rebuilt by
-      // apply_fault_plan (build_drain_channels), so linking their
-      // counter addresses would dangle.  Probes re-resolve the current
-      // channel at snapshot time instead -- never on the hot path.
-      const auto probe = [&](const char* name,
-                             std::uint64_t hw::ReliableChannel::Stats::*f) {
-        registry_.probe(prefix + ".drain." + name, [this, i, f]() {
-          return i < drain_channels_.size()
-                     ? static_cast<double>(drain_channels_[i]->stats().*f)
-                     : 0.0;
-        });
-      };
-      probe("sends", &hw::ReliableChannel::Stats::sends);
-      probe("retries", &hw::ReliableChannel::Stats::retries);
-      probe("corrupt_detected", &hw::ReliableChannel::Stats::corrupt_detected);
-      probe("duplicates_suppressed",
-            &hw::ReliableChannel::Stats::duplicates_suppressed);
-      probe("delivered", &hw::ReliableChannel::Stats::delivered);
-      probe("abandoned", &hw::ReliableChannel::Stats::abandoned);
+      drain_channels_[i]->register_metrics(registry_, prefix + ".drain");
     }
   }
 }
@@ -134,20 +147,6 @@ void ClusterExperiment::enable_tracing(obs::Tracer::Options opts) {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i]->server().set_tracer(tracer_.get(),
                                    static_cast<std::uint32_t>(i));
-  }
-}
-
-void ClusterExperiment::build_drain_channels() {
-  const std::size_t n = cells_.size();
-  drain_channels_.clear();
-  drain_channels_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Each channel's jitter stream is split per cell from the gray
-    // seed: deterministic, but de-synchronized across cells.
-    drain_channels_.push_back(std::make_unique<hw::ReliableChannel>(
-        engine_->sim_of(x86_nodes_[i]), *intercell_[i],
-        fault_opts_.drain_channel,
-        Rng(fault_opts_.gray_seed).split(0x5000 + i)));
   }
 }
 
@@ -205,9 +204,7 @@ void ClusterExperiment::run_for(Duration d) {
   ssim.run_until(ssim.now() + d);
 }
 
-void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
-                                         FaultInjectionOptions opts) {
-  fault_opts_ = opts;
+void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan) {
   // An empty plan must leave the run bit-identical to never having
   // called this -- so don't even start health checks.
   if (plan.empty()) return;
@@ -218,11 +215,10 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
                      &error)) {
     throw Error("fault plan rejected: " + error);
   }
-  if (n > 1) build_drain_channels();  // pick up opts.drain_channel
   // Every gray draw stream is split from (kind, victim): reproducible
   // from the seed, independent of event order, and never perturbing the
   // workload's own randomness.
-  const Rng gray(fault_opts_.gray_seed);
+  const Rng gray(kGraySeed);
   const auto stream = [&gray](sim::FaultEvent::Kind kind,
                               std::size_t victim, std::uint64_t leg) {
     return gray.split((static_cast<std::uint64_t>(kind) << 32) |
@@ -259,7 +255,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         XAR_EXPECTS(victim < n);
         // The cell's CPUs serve at magnitude x rate; the modeled
         // heartbeat handler rides the same starved cores, so replies
-        // stretch by the inverse -- that is what the breaker sees.
+        // stretch by the inverse -- that is what the health machine sees.
         const double factor = ev.magnitude;
         shard.schedule_at(ev.at, [this, victim, factor] {
           cells_[victim]->testbed().x86().set_service_scale(factor);
@@ -276,10 +272,9 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
         // Stream leg 1 is the drop pattern gray-storm traces were
         // recorded with (tests/trace_digest_test.cpp pins it).
         const double drop = ev.magnitude;
-        const double factor = fault_opts_.degraded_latency_factor;
         Rng rng = stream(ev.kind, victim, 1);
-        shard.schedule_at(ev.at, [this, victim, factor, drop, rng] {
-          intercell_[victim]->set_degraded(factor, drop, rng);
+        shard.schedule_at(ev.at, [this, victim, drop, rng] {
+          intercell_[victim]->set_degraded(kDegradedLatencyFactor, drop, rng);
         });
         shard.schedule_at(ev.until, [this, victim] {
           intercell_[victim]->clear_degraded();
@@ -315,7 +310,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan,
       }
     }
   }
-  for (auto& cell : cells_) cell->server().start_health_checks(opts.health);
+  for (auto& cell : cells_) cell->server().start_health_checks();
 }
 
 void ClusterExperiment::kill_cell(std::size_t i) {
@@ -375,10 +370,9 @@ void ClusterExperiment::place_job(std::uint64_t id) {
   // which stays live in the simulation -- only the modeled cell died.
   ++job.attempts;
   job.state = JobState::kBackoff;
-  const std::uint32_t exp =
-      std::min(job.attempts - 1, fault_opts_.backoff_cap_exponent);
+  const std::uint32_t exp = std::min(job.attempts - 1, kBackoffCapExponent);
   const Duration delay =
-      fault_opts_.backoff_base * static_cast<double>(std::uint64_t{1} << exp);
+      kBackoffBase * static_cast<double>(std::uint64_t{1} << exp);
   if (tracer_ != nullptr && tracer_->sampled(trace_id_of(id))) {
     tracer_->emit(static_cast<std::uint32_t>(c), obs::kTrackJob,
                   "job.backoff", trace_id_of(id),
@@ -454,7 +448,7 @@ void ClusterExperiment::forward_job(std::uint64_t id) {
       drain_transformer_->transform_stack(stack, isa::IsaKind::kX86_64);
   const Duration transform_cost =
       drain_transformer_->stack_transform_cost(stack);
-  const std::uint64_t payload = fault_opts_.drain_payload_bytes +
+  const std::uint64_t payload = kDrainPayloadBytes +
                                 transformed.total_frame_bytes() + 64 * 8;
   struct Join {
     popcorn::ThreadStack stack;

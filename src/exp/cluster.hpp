@@ -43,7 +43,6 @@
 #include "obs/trace.hpp"
 #include "popcorn/checkpoint.hpp"
 #include "popcorn/state_transform.hpp"
-#include "runtime/scheduler_server.hpp"
 #include "sim/exec_options.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
@@ -75,32 +74,6 @@ struct ClusterSpec {
   /// Completions carry exact event timestamps, so this affects polling
   /// granularity only, never the trace.
   Duration completion_poll = Duration::seconds(1.0);
-};
-
-/// Tunables for fault handling (apply_fault_plan).
-struct FaultInjectionOptions {
-  /// First re-placement delay after finding a dead cell; doubles per
-  /// attempt (exponential backoff), capped at base * 2^cap_exponent.
-  Duration backoff_base = Duration::ms(1.0);
-  std::uint32_t backoff_cap_exponent = 6;
-  /// Working-set bytes shipped alongside a drained job's checkpoint.
-  std::uint64_t drain_payload_bytes = 64 * 1024;
-  /// Heartbeat tunables for every cell's scheduler (health checking
-  /// starts when a non-empty plan is applied).
-  runtime::SchedulerServer::HealthOptions health = {};
-  /// Latency inflation on a kLinkDegraded ring link (the drop
-  /// probability rides in the fault event's magnitude).
-  double degraded_latency_factor = 4.0;
-  /// Shape of the reliable drain channels (end-to-end retry of
-  /// checkpoint payloads).  The timeout must clear one drain payload's
-  /// worst healthy transfer; attempts are generous because an abandoned
-  /// drain is a lost job.
-  hw::ReliableChannel::Options drain_channel = {
-      Duration::ms(10.0), Duration::ms(1.0), 6, 0.25, 16};
-  /// Seed of the gray-fault randomness streams (drop/corrupt/flaky
-  /// draws and retry jitter), split per victim and kind so injection
-  /// never perturbs the workload's own draws.
-  std::uint64_t gray_seed = 0x6772617946616CULL;  // "grayFal"
 };
 
 /// N cells, one shard each, one experiment stack per cell.
@@ -191,10 +164,12 @@ class ClusterExperiment {
 
   /// Schedule every event of `plan` onto its victim's shard and start
   /// health checks on every cell's scheduler.  Call between runs; all
-  /// events must lie in the future.  An empty plan changes nothing --
-  /// the subsequent run is bit-identical to never having called this.
-  void apply_fault_plan(const sim::FaultPlan& plan,
-                        FaultInjectionOptions opts = {});
+  /// events must lie in the future.  Fault handling runs on fixed
+  /// constants (cluster.cpp: re-placement backoff, drain payload,
+  /// degraded-link latency, gray seed; scheduler_server.cpp: the health
+  /// machine).  An empty plan changes nothing -- the subsequent run is
+  /// bit-identical to never having called this.
+  void apply_fault_plan(const sim::FaultPlan& plan);
 
   /// Immediate conveniences (tests): inject one fault at now().
   void kill_cell(std::size_t i);
@@ -236,8 +211,8 @@ class ClusterExperiment {
     std::uint64_t link_drops = 0;    ///< frames lost on degraded links
     std::uint64_t slow_replies = 0;  ///< in-time-but-sluggish heartbeats
     std::uint64_t late_replies = 0;  ///< replies that lost to the timeout
-    std::uint64_t breaker_trips = 0;   ///< closed -> open transitions
-    std::uint64_t breaker_closes = 0;  ///< half-open -> closed recoveries
+    std::uint64_t breaker_trips = 0;   ///< healthy -> gray transitions
+    std::uint64_t breaker_closes = 0;  ///< probing -> healthy recoveries
     std::uint64_t slots_quarantined = 0;  ///< fabric taken out of rotation
   };
   /// Aggregate over completed jobs (main thread, between runs).
@@ -294,8 +269,8 @@ class ClusterExperiment {
     TimePoint completed_at;
   };
 
-  /// Register every stable component's counters (and probes for the
-  /// rebuildable drain channels) with registry_.  Construction only.
+  /// Register every component's counters with registry_.
+  /// Construction only.
   void register_all_metrics();
 
   // All of these run on the owning cell's shard.
@@ -305,8 +280,6 @@ class ClusterExperiment {
   /// Re-materialize a drained checkpoint on `dst` (runs on dst's shard).
   void land_job(std::size_t dst, popcorn::ThreadStack stack);
   void kill_cell_impl(std::size_t c);
-  /// (Re)build the per-cell reliable drain channels from fault_opts_.
-  void build_drain_channels();
 
  private:
   ClusterSpec cluster_;
@@ -325,7 +298,6 @@ class ClusterExperiment {
   std::atomic<std::uint64_t> handoffs_{0};
 
   // Fault-injection state (see the ownership discipline above).
-  FaultInjectionOptions fault_opts_;
   /// Tracked jobs by id.  The vector grows only between runs (submit);
   /// during runs each element is touched only by its owner's shard.
   std::vector<TrackedJob> jobs_;

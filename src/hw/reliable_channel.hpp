@@ -78,9 +78,7 @@ class ReliableChannel {
   [[nodiscard]] const Options& options() const { return opts_; }
 
   /// Link the stats counters into a metrics registry under `prefix`.
-  /// Only for channels that outlive the registry's snapshots --
-  /// rebuildable channels (the cluster drain path) should be read
-  /// through Registry::probe instead.
+  /// The channel must outlive the registry's snapshots.
   void register_metrics(obs::Registry& registry,
                         const std::string& prefix) const;
 

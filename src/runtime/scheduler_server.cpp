@@ -9,6 +9,34 @@
 
 namespace xartrek::runtime {
 
+namespace {
+
+// Health-check constants (see SchedulerServer::Health).
+/// Ping cadence.
+constexpr Duration kHeartbeatPeriod = Duration::ms(10.0);
+/// Device-side round trip of one ping when the card is up.
+constexpr Duration kReplyLatency = Duration::micros(200.0);
+/// How long after the ping the server waits before declaring a miss.
+constexpr Duration kHeartbeatTimeout = Duration::ms(2.0);
+/// Consecutive misses before the target is evicted.
+constexpr std::uint32_t kMissLimit = 3;
+/// An in-time reply slower than this is a gray signal: the target
+/// answers, but sluggishly.  Sits between the healthy reply (200 us)
+/// and the miss timeout, so a 4x-slowed cell reads gray, not dead.
+constexpr Duration kSlowReply = Duration::ms(0.5);
+/// Consecutive gray signals that turn a healthy target gray.  Below
+/// kMissLimit, so degradation is noticed before death would be -- and
+/// an evicted target is always gray first.
+constexpr std::uint32_t kGrayLimit = 2;
+static_assert(kGrayLimit < kMissLimit);
+/// Dwell after the last gray signal before probing may begin.
+constexpr Duration kCooldown = Duration::ms(20.0);
+/// A gray or probing target's FPGA threshold is inflated by this factor
+/// (plus one) in placement scoring.
+constexpr double kDemotionFactor = 2.0;
+
+}  // namespace
+
 Target decide_placement(int x86_load, int arm_threshold, int fpga_threshold,
                         bool hw_kernel_available, bool& wants_reconfigure) {
   wants_reconfigure = false;
@@ -115,8 +143,8 @@ const fpga::XclbinImage* SchedulerServer::image_with(
 
 void SchedulerServer::maybe_start_reconfiguration(std::string_view kernel) {
   if (device_.reconfiguring()) return;  // one download at a time
-  if (!fpga_healthy_) return;  // evicted target: don't feed it downloads
-  if (!breaker_closed()) return;  // gray target: no new downloads either
+  // Gray or evicted target: don't feed it downloads.
+  if (health_ != Health::kHealthy) return;
   const fpga::XclbinImage* image = image_with(kernel);
   if (image == nullptr) {
     log_.warn("server: no XCLBIN provides kernel ", kernel);
@@ -152,14 +180,12 @@ fpga::ResidencyView SchedulerServer::residency(
     std::string_view kernel) const {
   // An evicted target answers no residency probes: its kernels read as
   // absent, exactly as a physically absent card would.
-  if (!fpga_healthy_) return fpga::ResidencyView{};
+  if (health_ == Health::kEvicted) return fpga::ResidencyView{};
   return device_.residency(kernel);
 }
 
 bool SchedulerServer::ensure_resident(std::string_view kernel) {
-  if (!fpga_healthy_ || !breaker_closed() || device_.reconfiguring()) {
-    return false;
-  }
+  if (health_ != Health::kHealthy || device_.reconfiguring()) return false;
   if (device_.residency(kernel).resident()) return false;
   if (slots_ != nullptr) return slots_->provision(kernel);
   const fpga::XclbinImage* image = image_with(kernel);
@@ -181,98 +207,41 @@ bool SchedulerServer::ensure_resident(std::string_view kernel) {
 }
 
 void SchedulerServer::start_health_checks() {
-  start_health_checks(HealthOptions());
-}
-
-void SchedulerServer::start_health_checks(HealthOptions opts) {
-  XAR_EXPECTS(opts.period > Duration::zero());
-  XAR_EXPECTS(opts.timeout > Duration::zero());
-  XAR_EXPECTS(opts.miss_limit >= 1);
-  health_opts_ = opts;
-  if (health_on_) return;  // retune only; the running loop picks it up
+  if (health_on_) return;
   health_on_ = true;
-  ++health_generation_;
-  const std::uint64_t gen = health_generation_;
-  sim_.schedule_in(health_opts_.period, [this, gen] {
-    if (health_on_ && gen == health_generation_) heartbeat_tick();
-  });
-}
-
-void SchedulerServer::stop_health_checks() {
-  health_on_ = false;
-  ++health_generation_;  // orphan any in-flight tick/timeout events
-  fpga_healthy_ = true;
-  consecutive_misses_ = 0;
-  breaker_ = BreakerState::kClosed;
-  breaker_gray_streak_ = 0;
+  sim_.schedule_in(kHeartbeatPeriod, [this] { heartbeat_tick(); });
 }
 
 void SchedulerServer::heartbeat_tick() {
   const std::uint64_t seq = ++heartbeat_seq_;
-  const std::uint64_t gen = health_generation_;
   ++stats_.heartbeats_sent;
   // A live card answers one reply latency later; a dead card never
   // does (the ping vanishes into the dead PCIe slot).  A *slowed* cell
   // answers -- late: the modeled ping handler rides the degraded
   // service rate (set_reply_latency_scale), and a reply above the
-  // slow-reply bar is the breaker's gray signal even when it beats the
-  // timeout.
+  // slow-reply bar is a gray signal even when it beats the timeout.
   if (!device_.offline()) {
     const Duration delay =
-        Duration::ms(health_opts_.reply_latency.to_ms() *
-                     reply_latency_scale_);
-    const bool slow = delay > health_opts_.slow_reply;
-    sim_.schedule_in(delay, [this, seq, gen, slow] {
-      if (health_on_ && gen == health_generation_) {
-        heartbeat_reply(seq, slow);
-      }
-    });
+        Duration::ms(kReplyLatency.to_ms() * reply_latency_scale_);
+    const bool slow = delay > kSlowReply;
+    sim_.schedule_in(delay,
+                     [this, seq, slow] { heartbeat_reply(seq, slow); });
   }
-  sim_.schedule_in(health_opts_.timeout, [this, seq, gen] {
-    if (health_on_ && gen == health_generation_) heartbeat_timeout(seq);
-  });
-  sim_.schedule_in(health_opts_.period, [this, gen] {
-    if (health_on_ && gen == health_generation_) heartbeat_tick();
-  });
+  sim_.schedule_in(kHeartbeatTimeout, [this, seq] { heartbeat_timeout(seq); });
+  sim_.schedule_in(kHeartbeatPeriod, [this] { heartbeat_tick(); });
 }
 
-void SchedulerServer::breaker_note_gray() {
-  if (breaker_ != BreakerState::kClosed) {
-    // An open breaker absorbs further gray signals; a half-open probe
-    // that comes back gray slams it shut again and restarts the
-    // cooldown.
-    breaker_ = BreakerState::kOpen;
-    breaker_opened_at_ = sim_.now();
-    return;
-  }
-  if (++breaker_gray_streak_ >= health_opts_.breaker_trip_limit) {
-    breaker_ = BreakerState::kOpen;
-    breaker_opened_at_ = sim_.now();
+void SchedulerServer::note_gray() {
+  if (health_ == Health::kHealthy) {
+    if (++gray_streak_ < kGrayLimit) return;
     ++stats_.breaker_trips;
-    log_.warn("server: circuit breaker OPEN after ", breaker_gray_streak_,
-              " gray signals -- FPGA target demoted");
+    log_.warn("server: FPGA target gray after ", gray_streak_,
+              " gray signals -- demoted");
   }
-}
-
-void SchedulerServer::breaker_note_ok() {
-  breaker_gray_streak_ = 0;
-  switch (breaker_) {
-    case BreakerState::kClosed:
-      return;
-    case BreakerState::kOpen:
-      // Probing starts only after the cooldown; the first clean reply
-      // after it half-opens the breaker.
-      if (sim_.now() - breaker_opened_at_ >= health_opts_.breaker_cooldown) {
-        breaker_ = BreakerState::kHalfOpen;
-      }
-      return;
-    case BreakerState::kHalfOpen:
-      breaker_ = BreakerState::kClosed;
-      ++stats_.breaker_closes;
-      log_.info("server: circuit breaker closed -- FPGA target reinstated "
-                "in placement scoring");
-      return;
-  }
+  // Healthy and probing targets turn gray; every gray signal restarts
+  // the cooldown, an evicted target's included.
+  if (health_ != Health::kEvicted) health_ = Health::kGray;
+  last_gray_at_ = sim_.now();
 }
 
 void SchedulerServer::heartbeat_reply(std::uint64_t seq, bool slow) {
@@ -280,23 +249,33 @@ void SchedulerServer::heartbeat_reply(std::uint64_t seq, bool slow) {
     // The reply lost the race: its timeout already fired and the miss
     // was counted.  Ignoring it keeps the state machine monotone -- a
     // stale packet cannot resurrect a target the tracker gave up on.
-    // (The timeout already fed the breaker; no second gray signal.)
+    // (The timeout already was the gray signal; no second one.)
     ++stats_.late_replies;
     return;
   }
   if (seq <= replied_seq_) return;  // duplicate
   replied_seq_ = seq;
   consecutive_misses_ = 0;
-  if (slow) {
-    ++stats_.slow_replies;
-    breaker_note_gray();
-  } else {
-    breaker_note_ok();
-  }
-  if (!fpga_healthy_) {
-    fpga_healthy_ = true;
+  if (health_ == Health::kEvicted) {
+    // Alive again, but not yet trusted: reinstated as gray.
+    health_ = Health::kGray;
     ++stats_.reinstatements;
     log_.info("server: FPGA target reinstated (heartbeat ", seq, ")");
+  }
+  if (slow) {
+    ++stats_.slow_replies;
+    note_gray();
+    return;
+  }
+  gray_streak_ = 0;
+  if (health_ == Health::kGray) {
+    // Probing starts only after the cooldown.
+    if (sim_.now() - last_gray_at_ >= kCooldown) health_ = Health::kProbing;
+  } else if (health_ == Health::kProbing) {
+    health_ = Health::kHealthy;
+    ++stats_.breaker_closes;
+    log_.info("server: FPGA target healthy -- reinstated in placement "
+              "scoring");
   }
 }
 
@@ -305,9 +284,9 @@ void SchedulerServer::heartbeat_timeout(std::uint64_t seq) {
   if (seq > expired_seq_) expired_seq_ = seq;
   ++stats_.heartbeats_missed;
   ++consecutive_misses_;
-  breaker_note_gray();
-  if (consecutive_misses_ >= health_opts_.miss_limit && fpga_healthy_) {
-    fpga_healthy_ = false;
+  note_gray();
+  if (consecutive_misses_ >= kMissLimit && health_ != Health::kEvicted) {
+    health_ = Health::kEvicted;
     ++stats_.evictions;
     log_.warn("server: FPGA target evicted after ", consecutive_misses_,
               " missed heartbeats");
@@ -465,20 +444,18 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
   // An evicted target answers no residency probes: the tracker treats
   // its kernels as absent, which drops Algorithm 2 into its CPU-only
   // branches exactly as a physically absent card would.
-  const bool kernel_ready = fpga_healthy_ && view.resident();
+  const bool kernel_ready = health_ != Health::kEvicted && view.resident();
 
   PlacementDecision decision;
   decision.observed_load = load;
 
-  // Gray demotion: an open (or probing) breaker inflates the effective
-  // FPGA threshold instead of evicting the target -- resident kernels
-  // still serve genuinely heavy load, but marginal traffic stays on the
-  // CPUs until the cell proves itself again.
+  // Gray demotion: a target that is not healthy has its effective FPGA
+  // threshold inflated -- resident kernels still serve genuinely heavy
+  // load, but marginal traffic stays on the CPUs until the cell proves
+  // itself again.
   int fpga_thr = entry.fpga_threshold;
-  if (!breaker_closed()) {
-    fpga_thr = static_cast<int>(
-                   fpga_thr * health_opts_.breaker_demotion_factor) +
-               1;
+  if (health_ != Health::kHealthy) {
+    fpga_thr = static_cast<int>(fpga_thr * kDemotionFactor) + 1;
   }
 
   bool wants_reconfigure = false;
@@ -491,17 +468,17 @@ void SchedulerServer::finish_one(std::uint32_t slot, int load,
     // the kernel deserves fabric (fresh slot, eviction) or more of it
     // (replication).  Replication is also consulted when the kernel is
     // already resident but the load is past FPGA_THR: sustained
-    // pressure grows CUs.  A tripped breaker stops feeding the gray
-    // cell new programmings without touching what is already resident.
+    // pressure grows CUs.  A target that is not healthy gets no new
+    // programmings, without touching what is already resident.
     slots_->note_demand(entry.kernel_name);
-    if (fpga_healthy_ && breaker_closed() &&
+    if (health_ == Health::kHealthy &&
         (wants_reconfigure || (kernel_ready && load > fpga_thr))) {
       if (slots_->provision(entry.kernel_name)) {
         ++stats_.reconfigurations_started;
         decision.reconfiguration_started = true;
       }
     }
-  } else if (wants_reconfigure && breaker_closed()) {
+  } else if (wants_reconfigure && health_ == Health::kHealthy) {
     const bool was_reconfiguring = device_.reconfiguring();
     maybe_start_reconfiguration(entry.kernel_name);
     decision.reconfiguration_started = !was_reconfiguring;

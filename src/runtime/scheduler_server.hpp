@@ -113,55 +113,32 @@ class SchedulerServer {
     /// Replies that arrived after their timeout already fired; they are
     /// ignored (the eviction decision stands until an in-time reply).
     std::uint64_t late_replies = 0;
-    std::uint64_t evictions = 0;       ///< healthy -> evicted transitions
-    std::uint64_t reinstatements = 0;  ///< evicted -> healthy transitions
-    // Circuit breaker (gray-failure degradation; zero while closed).
-    std::uint64_t slow_replies = 0;    ///< in-time but above slow_reply
-    std::uint64_t breaker_trips = 0;   ///< closed -> open transitions
-    std::uint64_t breaker_closes = 0;  ///< half-open -> closed transitions
+    std::uint64_t evictions = 0;       ///< -> kEvicted transitions
+    std::uint64_t reinstatements = 0;  ///< kEvicted -> kGray transitions
+    std::uint64_t slow_replies = 0;    ///< in time, but past the slow bar
+    std::uint64_t breaker_trips = 0;   ///< kHealthy -> kGray transitions
+    std::uint64_t breaker_closes = 0;  ///< kProbing -> kHealthy transitions
   };
 
-  /// Per-cell circuit breaker over the FPGA target.  Distinct from
-  /// eviction: an evicted target is treated as dead (kernels read
-  /// absent); an *open breaker* merely demotes the target in placement
-  /// scoring -- already-resident kernels stay callable under enough
-  /// load, but the bar is raised and no new reconfigurations start.
-  enum class BreakerState : std::uint8_t {
-    kClosed,    ///< normal scoring
-    kOpen,      ///< gray target: demoted, no new programmings
-    kHalfOpen,  ///< cooldown elapsed, one good probe seen; one more
-                ///< closes it, any gray signal re-opens it
-  };
-
-  /// Heartbeat tunables.  Health checking is opt-in (start_health_checks);
-  /// with it off the server's event schedule is bit-identical to pre-PR
-  /// behavior and `fpga_healthy()` is pinned true.
-  struct HealthOptions {
-    /// Ping cadence.
-    Duration period = Duration::ms(10.0);
-    /// Device-side round trip of one ping when the card is up.
-    Duration reply_latency = Duration::micros(200.0);
-    /// How long after the ping the server waits before declaring a miss.
-    Duration timeout = Duration::ms(2.0);
-    /// Consecutive misses before the target is evicted.
-    std::uint32_t miss_limit = 3;
-    /// An in-time reply slower than this is a *gray* signal: the target
-    /// answers, but sluggishly.  Feeds the circuit breaker, not the
-    /// evictor.  Sits between the healthy reply (200us) and the miss
-    /// timeout so a 4x-slowed cell reads gray, not dead.
-    Duration slow_reply = Duration::ms(0.5);
-    /// Consecutive gray signals (timeouts or slow replies) that trip
-    /// the breaker open.  Kept below miss_limit so degradation is
-    /// noticed before death would be.
-    std::uint32_t breaker_trip_limit = 2;
-    /// Open-state dwell before half-open probing may begin.
-    Duration breaker_cooldown = Duration::ms(20.0);
-    /// While the breaker is open or half-open, the app's FPGA threshold
-    /// is inflated by this factor (plus one) in placement scoring --
-    /// demotion, not eviction: resident kernels stay callable under
-    /// enough load.
-    double breaker_demotion_factor = 2.0;
-  };
+  /// Health of the FPGA target, one state machine over the heartbeat
+  /// signals.  A *gray signal* is a timeout or an in-time reply slower
+  /// than the slow-reply bar; a *clean reply* is an in-time reply under
+  /// it.
+  ///
+  ///   kHealthy --2 consecutive gray signals--> kGray
+  ///   kGray --clean reply after the 20 ms cooldown--> kProbing
+  ///   kProbing --clean reply--> kHealthy
+  ///   kProbing --gray signal--> kGray
+  ///   kGray/kProbing --3 consecutive timeouts--> kEvicted
+  ///   kEvicted --any in-time reply--> kGray
+  ///
+  /// A gray signal in kGray or kEvicted restarts the cooldown.
+  /// Only a healthy target is scored normally and fed new
+  /// (re)configurations.  A gray or probing target is *demoted*: its
+  /// FPGA threshold is inflated, but resident kernels stay callable
+  /// under enough load.  An evicted target is treated as dead: its
+  /// kernels read absent.
+  enum class Health : std::uint8_t { kHealthy, kGray, kProbing, kEvicted };
 
   SchedulerServer(sim::Simulation& sim, LoadMonitor& monitor,
                   fpga::FpgaDevice& device, ThresholdTable& table,
@@ -190,43 +167,30 @@ class SchedulerServer {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return opts_; }
 
-  /// Start the heartbeat loop against the FPGA target.  Each tick pings
-  /// the device: an online card answers `reply_latency` later, a dead
-  /// one never does, and a reply landing after its `timeout` is *late*
-  /// -- counted, but ignored, so an eviction already decided is not
-  /// retroactively undone by a stale packet.  `miss_limit` consecutive
-  /// timeouts evict the target: `fpga_healthy()` goes false and
-  /// Algorithm 2 stops routing to (or reconfiguring) the card until an
-  /// in-time reply reinstates it.
-  void start_health_checks(HealthOptions opts);
-  void start_health_checks();  // default tunables
-  void stop_health_checks();
+  /// Start the heartbeat loop against the FPGA target (idempotent).
+  /// Every 10 ms the server pings the device: an online card answers
+  /// 200 us later (times the reply-latency scale), a dead one never
+  /// does, and a reply landing after the 2 ms timeout is *late* --
+  /// counted, but ignored, so an eviction already decided is not
+  /// retroactively undone by a stale packet.  The replies and timeouts
+  /// drive health() (see Health).  With health checks never started the
+  /// server's event schedule is untouched and health() stays kHealthy.
+  void start_health_checks();
   [[nodiscard]] bool health_checks_active() const { return health_on_; }
 
-  /// False while the heartbeat tracker has the FPGA target evicted.
-  /// Always true when health checks are off.
-  [[nodiscard]] bool fpga_healthy() const { return fpga_healthy_; }
-
-  /// Circuit-breaker state (kClosed whenever health checks are off).
-  [[nodiscard]] BreakerState breaker_state() const { return breaker_; }
-  [[nodiscard]] bool breaker_closed() const {
-    return breaker_ == BreakerState::kClosed;
-  }
+  [[nodiscard]] Health health() const { return health_; }
 
   /// Gray-failure hook (kCellSlow): scale the modeled device-side
   /// heartbeat reply latency -- the ping handler on a slowed cell
-  /// answers late, which is exactly the slow-reply signal the breaker
-  /// watches for.  1.0 restores nominal.
+  /// answers late, which is exactly the slow-reply signal the health
+  /// machine watches for.  1.0 restores nominal.
   void set_reply_latency_scale(double scale) {
     XAR_EXPECTS(scale > 0.0);
     reply_latency_scale_ = scale;
   }
-  [[nodiscard]] double reply_latency_scale() const {
-    return reply_latency_scale_;
-  }
 
   /// Slot-aware residency of `kernel` as the placement policy sees it:
-  /// an evicted (unhealthy) target answers "not resident" regardless of
+  /// an evicted target answers "not resident" regardless of
   /// what physically sits on the fabric.  Replaces peeking at
   /// image_with() + has_kernel() from outside the server.
   [[nodiscard]] fpga::ResidencyView residency(std::string_view kernel) const;
@@ -234,7 +198,7 @@ class SchedulerServer {
   /// Warm path: make `kernel` resident if it isn't already -- a slot
   /// programming through the slot scheduler, or a whole-image download
   /// otherwise.  Returns true when a (re)configuration was started.
-  /// No-op while the port is busy or the target is unhealthy.  Not
+  /// No-op while the port is busy or the target is not kHealthy.  Not
   /// counted in Stats::reconfigurations_started (which tracks
   /// Algorithm-2-driven reconfigurations only).
   bool ensure_resident(std::string_view kernel);
@@ -306,10 +270,8 @@ class SchedulerServer {
   void heartbeat_tick();
   void heartbeat_reply(std::uint64_t seq, bool slow);
   void heartbeat_timeout(std::uint64_t seq);
-  /// Breaker inputs: one gray signal (timeout / slow reply) or one
-  /// clean in-time reply.
-  void breaker_note_gray();
-  void breaker_note_ok();
+  /// One gray signal (a timeout or a slow reply).
+  void note_gray();
   /// Event body: one decision pass over every request in `batch_slot`
   /// (one arena decode sweep, one load sample, shared residency
   /// probes), answering each client.
@@ -357,20 +319,14 @@ class SchedulerServer {
   // race: a reply for seq s is *late* exactly when s's timeout already
   // fired, and a timeout is a miss exactly when no in-time reply for s
   // (or a later ping) arrived first.
-  HealthOptions health_opts_;
   bool health_on_ = false;
-  bool fpga_healthy_ = true;
+  Health health_ = Health::kHealthy;
   std::uint64_t heartbeat_seq_ = 0;    ///< last ping sent
   std::uint64_t replied_seq_ = 0;      ///< highest seq answered in time
   std::uint64_t expired_seq_ = 0;      ///< highest seq whose timeout fired
-  std::uint32_t consecutive_misses_ = 0;
-  /// Generation guard: stop/start invalidates in-flight tick events.
-  std::uint64_t health_generation_ = 0;
-
-  // Circuit breaker state (closed while health checks are off).
-  BreakerState breaker_ = BreakerState::kClosed;
-  std::uint32_t breaker_gray_streak_ = 0;
-  TimePoint breaker_opened_at_;
+  std::uint32_t consecutive_misses_ = 0;  ///< timeouts since an in-time reply
+  std::uint32_t gray_streak_ = 0;      ///< gray signals since a clean reply
+  TimePoint last_gray_at_;             ///< start of the cooldown
   double reply_latency_scale_ = 1.0;
 
   // Observability (inert until set_tracer / register_metrics).

@@ -300,11 +300,8 @@ std::vector<double> run_fault_free_cluster(bool apply_empty_plan) {
   cluster.submit(0, "facedet320");
   cluster.submit(1, "digit500");
   if (apply_empty_plan) {
-    // Even with aggressive tunables attached, an empty plan must not
-    // start health checks or schedule anything.
-    exp::FaultInjectionOptions opts;
-    opts.health.period = Duration::ms(1.0);
-    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
+    // An empty plan must not start health checks or schedule anything.
+    cluster.apply_fault_plan(sim::FaultPlan{});
     EXPECT_FALSE(cluster.cell(0).server().health_checks_active());
   }
   EXPECT_TRUE(cluster.run_until_jobs_complete());

@@ -25,6 +25,8 @@
 namespace xartrek {
 namespace {
 
+using Health = runtime::SchedulerServer::Health;
+
 const runtime::ThresholdTable& seeded_table() {
   static const runtime::ThresholdTable table =
       exp::ThresholdEstimator().estimate(apps::paper_benchmarks()).table;
@@ -324,32 +326,25 @@ TEST(FpgaOfflineTest, MidFlightOutageFallsBackToSoftware) {
 // --- heartbeat health checks ------------------------------------------------
 
 TEST(SchedulerHealthTest, TimeoutRacingLateReplyEvictsAndIgnoresReply) {
-  // Pathological tunables: the card's reply takes longer than the
-  // server is willing to wait, so every heartbeat's timeout wins the
-  // race and the reply always arrives late.  The state machine must
-  // stay monotone: a late reply is counted and dropped, never
-  // resurrecting the target its own timeout just condemned.
+  // A 25x-slowed reply handler answers 5 ms after each ping, so the
+  // 2 ms timeout always wins the race and every reply arrives late.
+  // The state machine must stay monotone: a late reply is counted and
+  // dropped, never resurrecting the target its own timeout condemned.
   const auto specs = apps::paper_benchmarks();
   exp::Experiment exp(specs, seeded_table());
   auto& server = exp.server();
 
-  runtime::SchedulerServer::HealthOptions opts;
-  opts.period = Duration::ms(10.0);
-  opts.reply_latency = Duration::ms(5.0);  // loses to the 2 ms timeout
-  opts.timeout = Duration::ms(2.0);
-  opts.miss_limit = 2;
-  server.start_health_checks(opts);
+  server.set_reply_latency_scale(25.0);
+  server.start_health_checks();
   EXPECT_TRUE(server.health_checks_active());
 
   exp.simulation().run_until(TimePoint::at_ms(100));
-  EXPECT_FALSE(server.fpga_healthy());  // evicted despite a live card
+  // Evicted despite a live card.
+  EXPECT_EQ(server.health(), Health::kEvicted);
   EXPECT_EQ(server.stats().evictions, 1u);
   EXPECT_GE(server.stats().late_replies, 5u);
+  EXPECT_EQ(server.stats().slow_replies, 0u);
   EXPECT_EQ(server.stats().reinstatements, 0u);
-
-  server.stop_health_checks();
-  EXPECT_FALSE(server.health_checks_active());
-  EXPECT_TRUE(server.fpga_healthy());  // health off: pinned healthy
 }
 
 TEST(SchedulerHealthTest, OfflineCardEvictedThenReinstatedOnRecovery) {
@@ -357,19 +352,104 @@ TEST(SchedulerHealthTest, OfflineCardEvictedThenReinstatedOnRecovery) {
   exp::Experiment exp(specs, seeded_table());
   auto& server = exp.server();
 
-  server.start_health_checks();  // default tunables: 10 ms period
+  server.start_health_checks();  // 10 ms period
   exp.testbed().fpga().set_offline(true);
   exp.simulation().run_until(TimePoint::at_ms(100));
   // A dead card never answers: misses accumulate to the limit.
-  EXPECT_FALSE(server.fpga_healthy());
+  EXPECT_EQ(server.health(), Health::kEvicted);
   EXPECT_GE(server.stats().heartbeats_missed, 3u);
   EXPECT_EQ(server.stats().evictions, 1u);
 
   exp.testbed().fpga().set_offline(false);
   exp.simulation().run_until(TimePoint::at_ms(200));
-  // First in-time reply reinstates the target.
-  EXPECT_TRUE(server.fpga_healthy());
+  // The first in-time reply reinstates the target; clean replies then
+  // walk it through probing back to healthy.
+  EXPECT_EQ(server.health(), Health::kHealthy);
   EXPECT_EQ(server.stats().reinstatements, 1u);
+  EXPECT_EQ(server.stats().breaker_closes, 1u);
+}
+
+TEST(SchedulerHealthTest, EveryTransitionOfTheHealthMachine) {
+  // Pings go out every 10 ms from the start; a nominal reply lands
+  // 0.2 ms later, a 4x-scaled one at 0.8 ms (in time, but past the
+  // 0.5 ms slow bar: a gray signal), and an offline card never
+  // answers (the 2 ms timeout is the gray signal).
+  const auto specs = apps::paper_benchmarks();
+  exp::Experiment exp(specs, seeded_table());
+  auto& server = exp.server();
+  const auto& stats = server.stats();
+  const TimePoint t0 = exp.simulation().now();
+  const auto run_to = [&exp, t0](double ms) {
+    exp.simulation().run_until(t0 + Duration::ms(ms));
+  };
+
+  // Health checks off: pinned healthy, nothing scheduled.
+  EXPECT_FALSE(server.health_checks_active());
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  server.start_health_checks();
+  run_to(15);  // ping 1: clean
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  EXPECT_EQ(stats.heartbeats_sent, 1u);
+
+  // healthy -> gray: two consecutive gray signals.
+  server.set_reply_latency_scale(4.0);
+  run_to(25);  // ping 2: slow
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  EXPECT_EQ(stats.slow_replies, 1u);
+  run_to(35);  // ping 3: slow -- gray since 30.8 ms
+  EXPECT_EQ(server.health(), Health::kGray);
+  EXPECT_EQ(stats.breaker_trips, 1u);
+
+  // gray -> probing: a clean reply, but only after the 20 ms cooldown.
+  server.set_reply_latency_scale(1.0);
+  run_to(55);  // pings 4-5: clean at 40.2 / 50.2, still cooling down
+  EXPECT_EQ(server.health(), Health::kGray);
+  run_to(65);  // ping 6: clean at 60.2, 29.4 ms after the last gray
+  EXPECT_EQ(server.health(), Health::kProbing);
+
+  // probing -> gray: a slow probe, which restarts the cooldown but is
+  // not a new trip.
+  server.set_reply_latency_scale(4.0);
+  run_to(75);  // ping 7: slow
+  EXPECT_EQ(server.health(), Health::kGray);
+  EXPECT_EQ(stats.breaker_trips, 1u);
+  EXPECT_EQ(stats.breaker_closes, 0u);
+
+  // gray -> probing -> healthy: cooldown, then two clean replies.
+  server.set_reply_latency_scale(1.0);
+  run_to(95);  // pings 8-9: cooling down again
+  EXPECT_EQ(server.health(), Health::kGray);
+  run_to(105);  // ping 10
+  EXPECT_EQ(server.health(), Health::kProbing);
+  run_to(115);  // ping 11
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  EXPECT_EQ(stats.breaker_closes, 1u);
+
+  // healthy -> gray -> evicted: three consecutive timeouts.
+  exp.testbed().fpga().set_offline(true);
+  run_to(125);  // ping 12 times out
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  run_to(135);  // ping 13 times out: gray
+  EXPECT_EQ(server.health(), Health::kGray);
+  EXPECT_EQ(stats.breaker_trips, 2u);
+  run_to(145);  // ping 14 times out: evicted
+  EXPECT_EQ(server.health(), Health::kEvicted);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.heartbeats_missed, 3u);
+
+  // evicted -> gray: a reinstated target is gray, not healthy.
+  exp.testbed().fpga().set_offline(false);
+  run_to(155);  // ping 15: clean, 8.2 ms after the last timeout
+  EXPECT_EQ(server.health(), Health::kGray);
+  EXPECT_EQ(stats.reinstatements, 1u);
+  run_to(165);  // ping 16: still cooling down
+  EXPECT_EQ(server.health(), Health::kGray);
+  run_to(175);  // ping 17
+  EXPECT_EQ(server.health(), Health::kProbing);
+  run_to(185);  // ping 18
+  EXPECT_EQ(server.health(), Health::kHealthy);
+  EXPECT_EQ(stats.breaker_closes, 2u);
+  EXPECT_EQ(stats.late_replies, 0u);
 }
 
 // --- link partitions reaching into the DSM window ---------------------------

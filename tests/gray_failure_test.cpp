@@ -1,9 +1,9 @@
 // Gray-failure resilience: degraded fault kinds, the reliability layer
 // (frame checksums, ReliableChannel retry/backoff/dedup, DSM bounded
-// re-request), graceful scheduler degradation (circuit breaker, slot
+// re-request), graceful scheduler degradation (gray demotion, slot
 // quarantine), and the cluster-level invariants under a mixed gray
-// plan -- conservation, serial/parallel trace identity, and the
-// empty-plan bit-identical no-op.
+// plan -- conservation and serial/parallel trace identity.  The
+// empty-plan bit-identical no-op is pinned in chaos_cluster_test.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -283,7 +283,7 @@ TEST(SlotQuarantineTest, SuccessResetsTheConsecutiveFailureCount) {
   EXPECT_EQ(scheduler.stats().failed, 2u);
 }
 
-// --- circuit breaker under kCellSlow ----------------------------------------
+// --- gray demotion under kCellSlow -------------------------------------------
 
 TEST(GrayClusterTest, SlowCellTripsBreakerThenRecovers) {
   const auto specs = apps::paper_benchmarks();
@@ -310,9 +310,8 @@ TEST(GrayClusterTest, SlowCellTripsBreakerThenRecovers) {
   EXPECT_GE(srv.breaker_trips, 1u);   // demoted while slowed...
   EXPECT_GE(srv.breaker_closes, 1u);  // ...reinstated after the window
   EXPECT_EQ(srv.evictions, 0u);       // never treated as dead
-  EXPECT_EQ(cluster.cell(0).server().breaker_state(),
-            runtime::SchedulerServer::BreakerState::kClosed);
-  EXPECT_TRUE(cluster.cell(0).server().fpga_healthy());
+  EXPECT_EQ(cluster.cell(0).server().health(),
+            runtime::SchedulerServer::Health::kHealthy);
 
   const auto stats = cluster.job_stats();
   EXPECT_EQ(stats.completed, 1u);
@@ -380,39 +379,6 @@ TEST(GrayClusterTest, MixedGrayPlanConservesJobsAndStaysDeterministic) {
   for (std::size_t i = 0; i < serial_a.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial_a[i], serial_b[i]) << "job " << i;
     EXPECT_DOUBLE_EQ(serial_a[i], threaded[i]) << "job " << i;
-  }
-}
-
-std::vector<double> run_gray_fault_free(bool apply_empty_plan) {
-  const auto specs = apps::paper_benchmarks();
-  exp::ClusterSpec spec;
-  spec.cells = 2;
-  exp::ExperimentOptions options;
-  options.mode = apps::SystemMode::kXarTrek;
-  exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
-  cluster.submit(0, "facedet320");
-  cluster.submit(1, "digit500");
-  if (apply_empty_plan) {
-    // Gray tunables attached and everything: an empty plan still must
-    // not schedule a single event or start health checks.
-    exp::FaultInjectionOptions opts;
-    opts.health.period = Duration::ms(1.0);
-    opts.degraded_latency_factor = 16.0;
-    opts.drain_channel.timeout = Duration::ms(1.0);
-    opts.gray_seed = 0xDEADBEEF;
-    cluster.apply_fault_plan(sim::FaultPlan{}, opts);
-    EXPECT_FALSE(cluster.cell(0).server().health_checks_active());
-  }
-  EXPECT_TRUE(cluster.run_until_jobs_complete());
-  return cluster.job_completion_times_ms();
-}
-
-TEST(GrayClusterTest, EmptyPlanWithGrayOptionsIsBitIdenticalNoOp) {
-  const auto baseline = run_gray_fault_free(false);
-  const auto with_empty_plan = run_gray_fault_free(true);
-  ASSERT_EQ(baseline.size(), with_empty_plan.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_DOUBLE_EQ(baseline[i], with_empty_plan[i]) << "job " << i;
   }
 }
 

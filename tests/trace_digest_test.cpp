@@ -1,10 +1,21 @@
-// Golden trace digest for the cluster's cross-cell paths: a fixed
-// 4-cell gray storm (a cell kill, a degraded and corrupting ring link,
-// a partition) plus periodic handoff pumps, folded into one FNV-1a
-// digest over executed events, per-job completion instants, handoff
-// arrivals and the recovery counters.  Refactors of the transport,
-// drain or fault layers must keep this constant; a change that moves
-// the trace on purpose records the new value here and says why.
+// Golden trace digests for the cluster's fault paths, each folded into
+// one FNV-1a digest.
+//
+//   * The cross-cell storm: a fixed 4-cell gray storm (a cell kill, a
+//     degraded and corrupting ring link, a partition) plus periodic
+//     handoff pumps, over executed events, per-job completion instants,
+//     handoff arrivals and the recovery counters.
+//   * The health storm: two slowed cells under background load -- one
+//     goes gray but never dies, the other loses every heartbeat race,
+//     is evicted, then reinstated and healed -- over executed events,
+//     per-job completion instants and every cell's health and
+//     placement counters.  It pins the FPGA health state machine's
+//     gray, probing and reinstatement paths and what Algorithm 2
+//     placed around them.
+//
+// Refactors of the transport, drain, fault or health layers must keep
+// these constants; a change that moves the trace on purpose records the
+// new value here and says why.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +36,9 @@ constexpr std::size_t kCells = 4;
 
 /// storm_digest's value; see the header before changing it.
 constexpr std::uint64_t kGoldenDigest = 0x871e4d1280557b5bull;
+
+/// health_storm_digest's value; see the header before changing it.
+constexpr std::uint64_t kHealthDigest = 0x33ca2ee2e8c5126aull;
 
 const runtime::ThresholdTable& shared_table() {
   static const exp::EstimationResult result =
@@ -119,6 +133,72 @@ TEST(TraceDigestTest, StormWithHandoffPumpsMatchesGolden) {
   const std::uint64_t serial = storm_digest(false);
   EXPECT_EQ(serial, kGoldenDigest) << std::hex << "digest 0x" << serial;
   EXPECT_EQ(storm_digest(true), serial);
+}
+
+std::uint64_t health_storm_digest(bool parallel) {
+  exp::ClusterSpec spec;
+  spec.cells = kCells;
+  spec.parallel = parallel;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec, options);
+  cluster.set_background_load(160);
+
+  // Cell 0 at quarter speed: its 0.8 ms heartbeat replies beat the
+  // timeout but fail the slow-reply bar -- gray, never dead.  Cell 2 at
+  // a twentieth: its 4 ms replies lose every race with the 2 ms
+  // timeout, so it is evicted, and reinstated and healed once the
+  // window closes.
+  using K = sim::FaultEvent::Kind;
+  sim::FaultPlan plan;
+  plan.add({K::kCellSlow, TimePoint::at_ms(10.0), 0, 0.25,
+            TimePoint::at_ms(200.0)});
+  plan.add({K::kCellSlow, TimePoint::at_ms(10.0), 2, 0.05,
+            TimePoint::at_ms(200.0)});
+  cluster.apply_fault_plan(plan);
+
+  constexpr const char* kApps[] = {"facedet320", "digit500", "digit2000"};
+  for (std::size_t wave = 0; wave < 12; ++wave) {
+    for (std::size_t c = 0; c < kCells; ++c) {
+      cluster.submit(c, kApps[(wave + c) % 3]);
+    }
+    cluster.run_for(Duration::ms(25.0));
+  }
+  EXPECT_TRUE(cluster.run_until_jobs_complete());
+  EXPECT_EQ(cluster.completed_jobs(), cluster.submitted_jobs());
+
+  const auto& gray = cluster.cell(0).server().stats();
+  EXPECT_GE(gray.breaker_trips, 1u);
+  EXPECT_GE(gray.breaker_closes, 1u);
+  EXPECT_EQ(gray.evictions, 0u);
+  const auto& evicted = cluster.cell(2).server().stats();
+  EXPECT_GE(evicted.evictions, 1u);
+  EXPECT_GE(evicted.reinstatements, 1u);
+  EXPECT_GE(evicted.breaker_closes, 1u);
+
+  std::uint64_t h = kFnvOffset;
+  h = fnv_mix(h, cluster.engine().engine().executed_events());
+  for (const double t : cluster.job_completion_times_ms()) {
+    h = fnv_mix(h, std::bit_cast<std::uint64_t>(t));
+  }
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const auto& s = cluster.cell(c).server().stats();
+    for (const std::uint64_t v :
+         {s.heartbeats_sent, s.heartbeats_missed, s.late_replies,
+          s.evictions, s.reinstatements, s.slow_replies, s.breaker_trips,
+          s.breaker_closes, s.requests, s.to_x86, s.to_arm, s.to_fpga,
+          s.reconfigurations_started}) {
+      h = fnv_mix(h, v);
+    }
+  }
+  return h;
+}
+
+TEST(TraceDigestTest, HealthStormMatchesGolden) {
+  const std::uint64_t serial = health_storm_digest(false);
+  EXPECT_EQ(serial, kHealthDigest) << std::hex << "digest 0x" << serial;
+  EXPECT_EQ(health_storm_digest(true), serial);
 }
 
 }  // namespace
