@@ -75,13 +75,15 @@ ClusterExperiment::ClusterExperiment(
   // One full experiment stack per cell, constructed against the cell's
   // shard through the testbed's shard-aware hook.  Construction order
   // within a cell is exactly exp::Experiment's, so a 1-cell cluster
-  // schedules the identical event sequence.
+  // schedules the identical event sequence.  Every cell runs the same
+  // binaries and XCLBINs, so the suite is compiled once for all.
+  const auto suite = compile_suite(specs);
   cells_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     ExperimentOptions cell_options = options;
     cell_options.testbed = cluster_.cell_config;
     cell_options.testbed.external_sim = &engine_->sim_of(x86_nodes_[i]);
-    cells_.push_back(std::make_unique<Experiment>(specs, seed_table,
+    cells_.push_back(std::make_unique<Experiment>(specs, suite, seed_table,
                                                   cell_options));
   }
 

@@ -1,12 +1,16 @@
 // Experiment context: one system under test on one fresh testbed.
 //
 // Owns the whole stack an experiment run needs -- the simulated
-// platform, the compiled suite (pipeline steps A-F), the threshold
-// table, the load monitor, the scheduler server and client, and the
-// migration executor -- with construction order and lifetimes in one
-// place.  Every paper figure boils down to: build an Experiment per
-// (system, run), launch applications and background load, step the
-// simulation until the measured set completes, and collect times.
+// platform, the threshold table, the load monitor, the scheduler
+// server and client, and the migration executor -- with construction
+// order and lifetimes in one place.  It shares the compiled suite
+// (pipeline steps A-F) read-only: as in Xar-Trek, the compiler runs
+// once and every run migrates functions of the same binaries and
+// XCLBINs, so a caller that builds many Experiments compiles once
+// with compile_suite() and hands each of them the result.  Every
+// paper figure boils down to: build an Experiment per (system, run),
+// launch applications and background load, step the simulation until
+// the measured set completes, and collect times.
 #pragma once
 
 #include <functional>
@@ -41,6 +45,11 @@ struct ExperimentOptions {
   Logger log = {};
 };
 
+/// Pipeline steps A-F over `specs`.  The result is immutable; share it
+/// across every Experiment built from the same specs.
+[[nodiscard]] std::shared_ptr<const compiler::CompiledSuite> compile_suite(
+    const std::vector<apps::BenchmarkSpec>& specs);
+
 /// One system-under-test instance.
 class Experiment {
  public:
@@ -48,6 +57,14 @@ class Experiment {
   /// `seed_table` carries step-G thresholds; pass an empty table for a
   /// cold start (ablation 4).
   Experiment(std::vector<apps::BenchmarkSpec> specs,
+             const runtime::ThresholdTable& seed_table,
+             ExperimentOptions options = {});
+
+  /// Builds a fresh testbed around `suite`, which must be
+  /// compile_suite(specs) or an equivalent: every spec needs its
+  /// compiled application.
+  Experiment(std::vector<apps::BenchmarkSpec> specs,
+             std::shared_ptr<const compiler::CompiledSuite> suite,
              const runtime::ThresholdTable& seed_table,
              ExperimentOptions options = {});
 
@@ -60,7 +77,7 @@ class Experiment {
   }
   [[nodiscard]] runtime::ThresholdTable& table() { return table_; }
   [[nodiscard]] const compiler::CompiledSuite& suite() const {
-    return suite_;
+    return *suite_;
   }
   [[nodiscard]] runtime::SchedulerServer& server() { return *server_; }
   [[nodiscard]] runtime::MigrationExecutor& executor() { return *executor_; }
@@ -110,7 +127,7 @@ class Experiment {
   std::vector<apps::BenchmarkSpec> specs_;
   ExperimentOptions options_;
   std::unique_ptr<platform::Testbed> testbed_;
-  compiler::CompiledSuite suite_;
+  std::shared_ptr<const compiler::CompiledSuite> suite_;
   runtime::ThresholdTable table_;
   std::unique_ptr<runtime::LoadMonitor> monitor_;
   std::unique_ptr<runtime::SchedulerServer> server_;

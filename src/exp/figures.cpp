@@ -53,6 +53,7 @@ AvgExecResult run_avg_exec_experiment(
   XAR_EXPECTS(!config.set_sizes.empty() && !config.systems.empty());
   XAR_EXPECTS(config.runs >= 1);
 
+  const auto suite = compile_suite(specs);
   AvgExecResult result;
   for (int size : config.set_sizes) {
     std::vector<RunningStats> stats(config.systems.size());
@@ -64,7 +65,7 @@ AvgExecResult run_avg_exec_experiment(
       for (std::size_t s = 0; s < config.systems.size(); ++s) {
         ExperimentOptions options = config.base_options;
         options.mode = config.systems[s];
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, suite, seed_table, options);
         const int background =
             config.total_processes > 0
                 ? std::max(0, config.total_processes - size)
@@ -102,6 +103,7 @@ ThroughputResult run_throughput_experiment(
     const runtime::ThresholdTable& seed_table,
     const ThroughputConfig& config) {
   XAR_EXPECTS(!config.systems.empty() && config.runs >= 1);
+  const auto suite = compile_suite(specs);
   ThroughputResult result;
   const apps::BenchmarkSpec& face =
       apps::benchmark_by_name(specs, config.face_app);
@@ -112,7 +114,7 @@ ThroughputResult run_throughput_experiment(
       for (int run = 0; run < config.runs; ++run) {
         ExperimentOptions options = config.base_options;
         options.mode = system;
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, suite, seed_table, options);
         exp.add_background_load(load);
 
         bool finished = false;
@@ -150,6 +152,7 @@ std::vector<PeriodicExecCell> run_periodic_exec_experiment(
     const runtime::ThresholdTable& seed_table,
     const PeriodicExecConfig& config) {
   XAR_EXPECTS(config.waves >= 1 && config.apps_per_wave >= 1);
+  const auto suite = compile_suite(specs);
   std::vector<PeriodicExecCell> cells;
 
   // The same wave schedule (same random sets) is replayed per system.
@@ -167,7 +170,7 @@ std::vector<PeriodicExecCell> run_periodic_exec_experiment(
   for (apps::SystemMode system : config.systems) {
     ExperimentOptions options = config.base_options;
     options.mode = system;
-    Experiment exp(specs, seed_table, options);
+    Experiment exp(specs, suite, seed_table, options);
 
     std::unique_ptr<TraceRecorder> trace;
     if (config.record_load_trace) {
@@ -221,6 +224,7 @@ std::vector<PeriodicTputCell> run_periodic_throughput_experiment(
     const PeriodicTputConfig& config) {
   XAR_EXPECTS(config.app_runs >= 1);
   XAR_EXPECTS(config.max_load >= config.min_load);
+  const auto suite = compile_suite(specs);
   std::vector<PeriodicTputCell> cells;
   const apps::BenchmarkSpec& face =
       apps::benchmark_by_name(specs, config.face_app);
@@ -228,7 +232,7 @@ std::vector<PeriodicTputCell> run_periodic_throughput_experiment(
   for (apps::SystemMode system : config.systems) {
     ExperimentOptions options = config.base_options;
     options.mode = system;
-    Experiment exp(specs, seed_table, options);
+    Experiment exp(specs, suite, seed_table, options);
 
     // Triangular load wave: min -> max -> min per period, adjusted every
     // step interval for the lifetime of the experiment.
@@ -295,6 +299,7 @@ ProfitabilityResult run_profitability_experiment(
     const runtime::ThresholdTable& seed_table,
     const ProfitabilityConfig& config) {
   XAR_EXPECTS(!config.cg_counts.empty());
+  const auto suite = compile_suite(specs);
   ProfitabilityResult result;
 
   for (int cg : config.cg_counts) {
@@ -304,7 +309,7 @@ ProfitabilityResult run_profitability_experiment(
       for (int run = 0; run < config.runs; ++run) {
         ExperimentOptions options = config.base_options;
         options.mode = system;
-        Experiment exp(specs, seed_table, options);
+        Experiment exp(specs, suite, seed_table, options);
         exp.add_background_load(
             std::max(0, config.total_processes - config.set_size));
         for (int i = 0; i < config.set_size; ++i) {

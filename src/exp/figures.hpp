@@ -1,9 +1,10 @@
 // Experiment runners for every figure in the paper's evaluation.
 //
-// Each runner builds fresh Experiment instances per (system, run),
-// executes the workload the paper describes, and returns structured
-// results; the bench binaries format them into the paper's tables and
-// series.  All runners are deterministic given the seed.
+// Each runner compiles the suite once, builds fresh Experiment
+// instances around it per (system, run), executes the workload the
+// paper describes, and returns structured results; the bench binaries
+// format them into the paper's tables and series.  All runners are
+// deterministic given the seed.
 #pragma once
 
 #include <cstdint>

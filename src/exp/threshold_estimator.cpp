@@ -1,15 +1,21 @@
 #include "exp/threshold_estimator.hpp"
 
+#include <memory>
+
 #include "exp/experiment.hpp"
 
 namespace xartrek::exp {
 
-Duration ThresholdEstimator::scenario_time(
-    const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
-    runtime::Target target) const {
+namespace {
+
+using SuitePtr = std::shared_ptr<const compiler::CompiledSuite>;
+
+Duration measure_scenario(const std::vector<apps::BenchmarkSpec>& specs,
+                          const SuitePtr& suite, const std::string& app,
+                          runtime::Target target) {
   ExperimentOptions options;
   options.mode = apps::SystemMode::kVanillaX86;  // no scheduler involved
-  Experiment exp(specs, runtime::ThresholdTable{}, options);
+  Experiment exp(specs, suite, runtime::ThresholdTable{}, options);
   if (target == runtime::Target::kFpga) exp.warm_fpga_for(app);
   exp.launch_forced(app, target);
   const bool done = exp.run_until_complete(1);
@@ -17,13 +23,13 @@ Duration ThresholdEstimator::scenario_time(
   return exp.results().front().elapsed();
 }
 
-Duration ThresholdEstimator::x86_time_under_load(
-    const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
-    int load) const {
+Duration measure_x86_under_load(const std::vector<apps::BenchmarkSpec>& specs,
+                                const SuitePtr& suite, const std::string& app,
+                                int load) {
   XAR_EXPECTS(load >= 1);
   ExperimentOptions options;
   options.mode = apps::SystemMode::kVanillaX86;
-  Experiment exp(specs, runtime::ThresholdTable{}, options);
+  Experiment exp(specs, suite, runtime::ThresholdTable{}, options);
   // `load` simultaneous instances of the same application; the measured
   // one is simply the first to be launched (they are identical).
   for (int i = 0; i < load; ++i) exp.launch_forced(app, runtime::Target::kX86);
@@ -36,16 +42,34 @@ Duration ThresholdEstimator::x86_time_under_load(
   return measured;
 }
 
+}  // namespace
+
+Duration ThresholdEstimator::scenario_time(
+    const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
+    runtime::Target target) const {
+  return measure_scenario(specs, compile_suite(specs), app, target);
+}
+
+Duration ThresholdEstimator::x86_time_under_load(
+    const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
+    int load) const {
+  return measure_x86_under_load(specs, compile_suite(specs), app, load);
+}
+
 EstimationResult ThresholdEstimator::estimate(
     const std::vector<apps::BenchmarkSpec>& specs) const {
+  const SuitePtr suite = compile_suite(specs);
   EstimationResult result;
   for (const auto& spec : specs) {
     EstimationRow row;
     row.app = spec.name;
     row.kernel = spec.kernel_name;
-    row.x86_exec = scenario_time(specs, spec.name, runtime::Target::kX86);
-    row.fpga_exec = scenario_time(specs, spec.name, runtime::Target::kFpga);
-    row.arm_exec = scenario_time(specs, spec.name, runtime::Target::kArm);
+    row.x86_exec =
+        measure_scenario(specs, suite, spec.name, runtime::Target::kX86);
+    row.fpga_exec =
+        measure_scenario(specs, suite, spec.name, runtime::Target::kFpga);
+    row.arm_exec =
+        measure_scenario(specs, suite, spec.name, runtime::Target::kArm);
 
     // Sweep the load upward; a threshold is the last load at which
     // plain x86 still beats the scenario (0 if it never does).
@@ -53,7 +77,7 @@ EstimationResult ThresholdEstimator::estimate(
     int arm_thr = -1;
     for (int load = 1; load <= opts_.max_load; ++load) {
       if (fpga_thr >= 0 && arm_thr >= 0) break;
-      const Duration t = x86_time_under_load(specs, spec.name, load);
+      const Duration t = measure_x86_under_load(specs, suite, spec.name, load);
       if (fpga_thr < 0 && t > row.fpga_exec) fpga_thr = load - 1;
       if (arm_thr < 0 && t > row.arm_exec) arm_thr = load - 1;
     }

@@ -51,11 +51,13 @@ class ThresholdEstimator {
   ThresholdEstimator() : ThresholdEstimator(Options()) {}
   explicit ThresholdEstimator(Options opts) : opts_(opts) {}
 
-  /// Run scenarios + sweeps for every benchmark.  Deterministic.
+  /// Run scenarios + sweeps for every benchmark, compiling the suite
+  /// once.  Deterministic.
   [[nodiscard]] EstimationResult estimate(
       const std::vector<apps::BenchmarkSpec>& specs) const;
 
-  /// Measure one scenario time in isolation (exposed for tests).
+  /// Measure one scenario time in isolation (exposed for tests; compiles
+  /// the suite per call).
   [[nodiscard]] Duration scenario_time(
       const std::vector<apps::BenchmarkSpec>& specs, const std::string& app,
       runtime::Target target) const;

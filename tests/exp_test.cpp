@@ -1,10 +1,12 @@
 // Tests for the experiment layer: the step-G threshold estimator
-// (Table 2), load classification (Table 3), workload generation, and
-// small end-to-end figure experiments.
+// (Table 2), load classification (Table 3), workload generation, small
+// end-to-end figure experiments, and the compiled suite Experiments
+// share.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "exp/cluster.hpp"
 #include "exp/experiment.hpp"
 #include "exp/figures.hpp"
 #include "exp/threshold_estimator.hpp"
@@ -204,6 +206,66 @@ TEST(ExperimentTest, BackgroundLoadAdjustable) {
   EXPECT_EQ(exp.testbed().x86().load(), 10);
   exp.set_background_load(0);
   EXPECT_EQ(exp.testbed().x86().load(), 0);
+}
+
+// --- One compiled suite, many Experiments ---------------------------------
+
+TEST(SharedSuiteTest, ExperimentsBuiltFromOneSuiteShareIt) {
+  const auto specs = apps::paper_benchmarks();
+  const auto suite = compile_suite(specs);
+  const Experiment a(specs, suite, runtime::ThresholdTable{});
+  const Experiment b(specs, suite, runtime::ThresholdTable{});
+  EXPECT_EQ(&a.suite(), suite.get());
+  EXPECT_EQ(&a.suite(), &b.suite());
+}
+
+TEST(SharedSuiteTest, CompilingConstructorYieldsTheSameContent) {
+  const auto specs = apps::paper_benchmarks();
+  const auto shared = compile_suite(specs);
+  const Experiment own(specs, runtime::ThresholdTable{});
+  const compiler::CompiledSuite& mine = own.suite();
+  EXPECT_NE(&mine, shared.get());
+
+  ASSERT_EQ(mine.xclbins.size(), shared->xclbins.size());
+  for (std::size_t i = 0; i < mine.xclbins.size(); ++i) {
+    EXPECT_EQ(mine.xclbins[i].id, shared->xclbins[i].id);
+    EXPECT_EQ(mine.xclbins[i].size_bytes, shared->xclbins[i].size_bytes);
+    ASSERT_EQ(mine.xclbins[i].kernels.size(),
+              shared->xclbins[i].kernels.size());
+    for (std::size_t k = 0; k < mine.xclbins[i].kernels.size(); ++k) {
+      EXPECT_EQ(mine.xclbins[i].kernels[k].name,
+                shared->xclbins[i].kernels[k].name);
+    }
+  }
+  ASSERT_EQ(mine.apps.size(), shared->apps.size());
+  for (std::size_t i = 0; i < mine.apps.size(); ++i) {
+    EXPECT_EQ(mine.apps[i].name, shared->apps[i].name);
+    EXPECT_EQ(mine.apps[i].binary.file_bytes(),
+              shared->apps[i].binary.file_bytes());
+    EXPECT_EQ(mine.apps[i].x86_only_binary.file_bytes(),
+              shared->apps[i].x86_only_binary.file_bytes());
+  }
+}
+
+TEST(SharedSuiteTest, ClusterCellsShareOneSuite) {
+  ClusterSpec spec;
+  spec.cells = 4;
+  ClusterExperiment cluster(apps::paper_benchmarks(),
+                            runtime::ThresholdTable{}, spec);
+  EXPECT_EQ(&cluster.cell(0).suite(), &cluster.cell(3).suite());
+}
+
+TEST(SharedSuiteTest, SuiteOfOtherSpecsIsRejected) {
+  const auto specs = apps::paper_benchmarks();
+  const std::vector<apps::BenchmarkSpec> first_only = {specs.front()};
+  const auto partial = compile_suite(first_only);
+  EXPECT_THROW(Experiment(specs, partial, runtime::ThresholdTable{}),
+               ContractViolation);
+  EXPECT_THROW(Experiment(specs, nullptr, runtime::ThresholdTable{}),
+               ContractViolation);
+  // A superset is fine: every spec finds its application.
+  EXPECT_NO_THROW(
+      Experiment(first_only, compile_suite(specs), runtime::ThresholdTable{}));
 }
 
 }  // namespace

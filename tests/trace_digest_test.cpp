@@ -12,6 +12,11 @@
 //     placement counters.  It pins the FPGA health state machine's
 //     gray, probing and reinstatement paths and what Algorithm 2
 //     placed around them.
+//   * The paper figures: smoke-size runs of every single-cell figure
+//     runner (Figures 3-9, with an ablation and a cold table) plus the
+//     step-G estimation, over the bit pattern of every result value
+//     and the Table 1/2 rows.  It pins the single-cell Experiment
+//     path the paper harnesses drive.
 //
 // Refactors of the transport, drain, fault or health layers must keep
 // these constants; a change that moves the trace on purpose records the
@@ -26,6 +31,7 @@
 #include "apps/benchmark_spec.hpp"
 #include "common/hash.hpp"
 #include "exp/cluster.hpp"
+#include "exp/figures.hpp"
 #include "exp/threshold_estimator.hpp"
 #include "sim/fault.hpp"
 
@@ -40,10 +46,17 @@ constexpr std::uint64_t kGoldenDigest = 0x871e4d1280557b5bull;
 /// health_storm_digest's value; see the header before changing it.
 constexpr std::uint64_t kHealthDigest = 0x33ca2ee2e8c5126aull;
 
-const runtime::ThresholdTable& shared_table() {
+/// paper_figures_digest's value; see the header before changing it.
+constexpr std::uint64_t kPaperFiguresDigest = 0xf43ff80af32895e6ull;
+
+const exp::EstimationResult& shared_estimation() {
   static const exp::EstimationResult result =
       exp::ThresholdEstimator().estimate(apps::paper_benchmarks());
-  return result.table;
+  return result;
+}
+
+const runtime::ThresholdTable& shared_table() {
+  return shared_estimation().table;
 }
 
 /// Ships a 64 KiB image to the ring neighbor every 5 ms until `stop`;
@@ -199,6 +212,111 @@ TEST(TraceDigestTest, HealthStormMatchesGolden) {
   const std::uint64_t serial = health_storm_digest(false);
   EXPECT_EQ(serial, kHealthDigest) << std::hex << "digest 0x" << serial;
   EXPECT_EQ(health_storm_digest(true), serial);
+}
+
+std::uint64_t fnv_mix_double(std::uint64_t h, double v) {
+  return fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+std::uint64_t paper_figures_digest() {
+  using apps::SystemMode;
+  const std::vector<apps::BenchmarkSpec> specs = apps::paper_benchmarks();
+  const std::vector<SystemMode> systems = {
+      SystemMode::kVanillaX86, SystemMode::kAlwaysFpga, SystemMode::kXarTrek};
+  const runtime::ThresholdTable& table = shared_table();
+
+  std::uint64_t h = kFnvOffset;
+  // Step G: Table 1 times and Table 2 thresholds.
+  for (const auto& row : shared_estimation().rows) {
+    h = fnv_mix_double(h, row.x86_exec.to_ms());
+    h = fnv_mix_double(h, row.fpga_exec.to_ms());
+    h = fnv_mix_double(h, row.arm_exec.to_ms());
+    h = fnv_mix(h, static_cast<std::uint64_t>(row.fpga_threshold));
+    h = fnv_mix(h, static_cast<std::uint64_t>(row.arm_threshold));
+  }
+
+  // Figures 3 and 5: low and high load.
+  for (const int total : {0, 120}) {
+    exp::AvgExecConfig config;
+    config.set_sizes = {2, 5};
+    config.total_processes = total;
+    config.systems = systems;
+    config.runs = 2;
+    config.seed = 7;
+    const exp::AvgExecResult result =
+        exp::run_avg_exec_experiment(specs, table, config);
+    for (const auto& c : result.cells) {
+      h = fnv_mix_double(h, c.mean_ms);
+      h = fnv_mix_double(h, c.stddev_ms);
+    }
+  }
+
+  // Figure 6: eager, then lazy configuration.
+  for (const bool eager : {true, false}) {
+    exp::ThroughputConfig config;
+    config.background_loads = {0, 50};
+    config.systems = eager ? systems
+                           : std::vector<SystemMode>{SystemMode::kXarTrek};
+    config.runs = 1;
+    config.base_options.eager_configure = eager;
+    for (const auto& c :
+         exp::run_throughput_experiment(specs, table, config).cells) {
+      h = fnv_mix_double(h, c.mean_images);
+      h = fnv_mix_double(h, c.images_per_second);
+    }
+  }
+
+  // Figure 7: every system, one ablation, and a cold table.
+  const auto fold_periodic = [&h, &specs](
+                                 const exp::PeriodicExecConfig& config,
+                                 const runtime::ThresholdTable& seed_table) {
+    for (const auto& c :
+         exp::run_periodic_exec_experiment(specs, seed_table, config)) {
+      h = fnv_mix_double(h, c.mean_ms);
+      h = fnv_mix_double(h, c.stddev_ms);
+      h = fnv_mix(h, c.completed);
+      h = fnv_mix_double(h, c.makespan_minutes);
+      h = fnv_mix_double(h, c.load_min);
+      h = fnv_mix_double(h, c.load_mean);
+      h = fnv_mix_double(h, c.load_max);
+    }
+  };
+  exp::PeriodicExecConfig periodic;
+  periodic.waves = 3;
+  periodic.apps_per_wave = 6;
+  periodic.systems = systems;
+  periodic.seed = 7;
+  fold_periodic(periodic, table);
+  periodic.systems = {SystemMode::kXarTrek};
+  fold_periodic(periodic, runtime::ThresholdTable{});
+  periodic.base_options.dynamic_thresholds = false;
+  fold_periodic(periodic, table);
+
+  // Figure 8: periodic load under face detection.
+  exp::PeriodicTputConfig tput;
+  tput.app_runs = 2;
+  tput.systems = systems;
+  for (const auto& c :
+       exp::run_periodic_throughput_experiment(specs, table, tput)) {
+    h = fnv_mix_double(h, c.mean_images_per_second);
+    h = fnv_mix_double(h, c.stddev);
+  }
+
+  // Figure 9: three workload mixes.
+  exp::ProfitabilityConfig mix;
+  mix.cg_counts = {0, 5, 10};
+  mix.systems = systems;
+  mix.runs = 1;
+  for (const auto& c :
+       exp::run_profitability_experiment(specs, table, mix).cells) {
+    h = fnv_mix_double(h, c.mean_ms);
+  }
+  return h;
+}
+
+TEST(TraceDigestTest, PaperFiguresMatchGolden) {
+  const std::uint64_t digest = paper_figures_digest();
+  EXPECT_EQ(digest, kPaperFiguresDigest) << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace
