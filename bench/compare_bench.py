@@ -50,6 +50,10 @@ METRICS = {
         # Sparse serial windows (a few events each) vs the same lanes on
         # one queue: per-window engine overhead, e.g. clock reads.
         ("sharded.sparse_serial_vs_single_queue", "higher", False),
+        # Periodic sampler lane vs the self-rescheduling heap event it
+        # replaced, same workload, same run.
+        ("sampler.speedup", "higher", False),
+        ("sampler.lane.alloc_calls_per_event", "abs", False),
         ("events.steady_churn.pooled.events_per_sec", "higher", True),
         ("protocol.single_pass.requests_per_sec", "higher", True),
         ("sharded.single_queue.wall_events_per_sec", "higher", True),

@@ -5,8 +5,10 @@
 // compares both against faithful replicas of the pre-refactor designs
 // (shared_ptr-per-event priority_queue core; two-BinaryWriter concat
 // framing).  A global counting-allocator hook measures bytes and calls
-// allocated per event/request.  Results land in BENCH_sim_core.json so
-// future perf PRs have a tracked trajectory (schema: docs/perf.md).
+// allocated per event/request.  A sampler section times the periodic
+// sampler lane against the self-rescheduling heap event it replaced.
+// Results land in BENCH_sim_core.json so future perf PRs have a tracked
+// trajectory (schema: docs/perf.md).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -319,6 +321,69 @@ ProtoResult run_protocol_legacy(std::uint64_t round_trips) {
   return r;
 }
 
+// --- periodic sampler -------------------------------------------------------
+
+/// The load-monitor shape: a 10 ms sampler reads state that one event
+/// per simulated second changes (every event lands on a tick instant).
+/// The heap side is the design the sampler lane replaced: a
+/// self-rescheduling event per tick.
+constexpr double kSamplerPeriodMs = 10.0;
+constexpr double kSamplerEventMs = 1000.0;
+
+struct SamplerModel {
+  sim::Simulation* sim = nullptr;
+  std::uint64_t state = 0;
+  std::uint64_t samples = 0;
+  std::uint64_t checksum = 0;
+
+  void change() {
+    ++state;
+    sim->schedule_in(Duration::ms(kSamplerEventMs), [this] { change(); });
+  }
+  void heap_tick() {
+    record(1);
+    sim->schedule_in(Duration::ms(kSamplerPeriodMs), [this] { heap_tick(); });
+  }
+  void record(std::uint64_t ticks) {
+    samples += ticks;
+    checksum += ticks * state;
+  }
+};
+
+struct SamplerResult : ChurnResult {
+  std::uint64_t samples = 0;
+  std::uint64_t checksum = 0;
+};
+
+SamplerResult run_sampler(std::uint64_t ticks, bool lane) {
+  sim::Simulation sim;
+  SamplerModel model;
+  model.sim = &sim;
+  sim.schedule_in(Duration::ms(kSamplerEventMs), [&model] { model.change(); });
+  sim::Simulation::SamplerHandle handle;
+  if (lane) {
+    handle = sim.start_sampler(
+        Duration::ms(kSamplerPeriodMs),
+        [&model](std::uint64_t n) { model.record(n); });
+  } else {
+    sim.schedule_in(Duration::ms(kSamplerPeriodMs),
+                    [&model] { model.heap_tick(); });
+  }
+  const TimePoint horizon =
+      TimePoint::at_ms(kSamplerPeriodMs * static_cast<double>(ticks));
+  const AllocSnapshot before = alloc_snapshot();
+  const auto start = Clock::now();
+  sim.run_until(horizon);
+  SamplerResult r;
+  r.seconds = seconds_since(start);
+  const AllocSnapshot after = alloc_snapshot();
+  r.events = sim.executed_events();  // ticks count as events either way
+  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
+  r.samples = model.samples;
+  r.checksum = model.checksum;
+  return r;
+}
+
 // --- sharded engine ---------------------------------------------------------
 
 /// The multi-queue scaling workload: `total_chains` self-rescheduling
@@ -494,6 +559,18 @@ void emit_scenario(std::ostream& os, const char* key,
      << "\n    }";
 }
 
+void emit_sampler(std::ostream& os, const SamplerResult& lane,
+                  const SamplerResult& heap) {
+  os << "  \"sampler\": {\n"
+     << "    \"period_ms\": " << kSamplerPeriodMs << ",\n"
+     << "    \"event_period_ms\": " << kSamplerEventMs << ",\n"
+     << "    \"ticks\": " << lane.samples << ",\n";
+  emit_engine(os, "lane", lane);
+  os << ",\n";
+  emit_engine(os, "heap_event", heap);
+  os << ",\n    \"speedup\": " << rate(lane) / rate(heap) << "\n  },\n";
+}
+
 void emit_sharded(std::ostream& os, const char* key, const ShardResult& r) {
   os << "    \"" << key << "\": {\n"
      << "      \"wall_seconds\": " << r.wall_seconds << ",\n"
@@ -516,6 +593,7 @@ int bench_main() {
   // The codec section is microseconds-per-10k cheap; smoke mode keeps
   // it at full scale so its speedup ratios stay out of the noise floor.
   const std::uint64_t kRoundTrips = 100'000;
+  const std::uint64_t kSamplerTicks = smoke ? 2'000'000 : 10'000'000;
   const std::uint64_t kShardEvents = smoke ? 250'000 : 1'500'000;
   // The sharded section models the wide regime the ROADMAP targets:
   // 4x the chain count of the churn scenarios, so each epoch carries
@@ -568,6 +646,25 @@ int bench_main() {
   const auto proto_legacy = best2([&] {
     return run_protocol_legacy(kRoundTrips);
   });
+
+  std::cerr << "[sim_core_bench] sampler: " << kSamplerTicks
+            << " ticks, lane vs self-rescheduling heap event...\n";
+  const auto sampler_lane = best2([&] {
+    return run_sampler(kSamplerTicks, /*lane=*/true);
+  });
+  const auto sampler_heap = best2([&] {
+    return run_sampler(kSamplerTicks, /*lane=*/false);
+  });
+  // The lane must replay the heap event exactly: same ticks, same
+  // values read, same executed-event count.
+  if (sampler_lane.samples != kSamplerTicks ||
+      sampler_lane.samples != sampler_heap.samples ||
+      sampler_lane.checksum != sampler_heap.checksum ||
+      sampler_lane.events != sampler_heap.events) {
+    std::cerr << "[sim_core_bench] sampler lane diverged from the heap "
+                 "event\n";
+    return 1;
+  }
 
   std::cerr << "[sim_core_bench] sharded engine: " << kShardEvents
             << " events across " << kShardChains << " chains...\n";
@@ -661,8 +758,9 @@ int bench_main() {
       << (static_cast<double>(proto_view.round_trips) / proto_view.seconds) /
              (static_cast<double>(proto_legacy.round_trips) /
               proto_legacy.seconds)
-      << "\n  },\n"
-      << "  \"sharded\": {\n"
+      << "\n  },\n";
+  emit_sampler(out, sampler_lane, sampler_heap);
+  out << "  \"sharded\": {\n"
       << "    \"total_events\": " << kShardEvents << ",\n"
       << "    \"chains\": " << kShardChains << ",\n"
       << "    \"epoch_ms\": " << kShardEpochMs << ",\n";
@@ -704,6 +802,10 @@ int bench_main() {
             << " legacy=" << static_cast<double>(proto_legacy.round_trips) /
                                  proto_legacy.seconds
             << " speedup=" << proto_speedup << "\n"
+            << "[sim_core_bench] sampler: lane=" << rate(sampler_lane)
+            << " heap_event=" << rate(sampler_heap)
+            << " ticks/s, speedup=" << rate(sampler_lane) / rate(sampler_heap)
+            << "\n"
             << "[sim_core_bench] sharded: single_queue=" << single_rate
             << " ev/s, 1-shard ratio=" << one_shard_ratio
             << ", 4-shard aggregate="

@@ -4,7 +4,9 @@
 // server does not inspect the run queue at decision time; it uses the
 // last timer sample, exactly like the real implementation reads a
 // periodically-refreshed load figure.  Load is the paper's metric: the
-// number of resident processes on the x86 server (Table 3).
+// number of resident processes on the x86 server (Table 3).  The timer
+// is the simulation's sampler lane, so its ticks cost no event-heap
+// traffic.
 #pragma once
 
 #include "common/time.hpp"
@@ -24,7 +26,6 @@ class LoadMonitor {
               Duration period = Duration::ms(10.0));
   LoadMonitor(const LoadMonitor&) = delete;
   LoadMonitor& operator=(const LoadMonitor&) = delete;
-  ~LoadMonitor() { tick_.cancel(); }
 
   /// The last sampled x86 load.
   [[nodiscard]] int x86_load() const { return last_sample_; }
@@ -35,14 +36,14 @@ class LoadMonitor {
   [[nodiscard]] Duration period() const { return period_; }
 
  private:
-  void sample();
+  /// Record the load for `ticks` consecutive timer ticks.
+  void sample(std::uint64_t ticks);
 
-  sim::Simulation& sim_;
   const hw::CpuCluster& x86_;
   Duration period_;
   int last_sample_ = 0;
   std::uint64_t samples_ = 0;
-  sim::Simulation::EventHandle tick_;
+  sim::Simulation::SamplerHandle timer_;
 };
 
 }  // namespace xartrek::runtime

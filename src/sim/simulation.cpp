@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -106,18 +107,56 @@ void Simulation::prune() {
   }
 }
 
+Simulation::SamplerHandle Simulation::start_sampler(Duration period,
+                                                   SamplerCallback cb) {
+  XAR_EXPECTS(sampler_ == nullptr);  // one sampler per Simulation
+  XAR_EXPECTS(period > Duration::zero());
+  XAR_EXPECTS(cb != nullptr);
+  sampler_ = std::move(cb);
+  sampler_period_ = period;
+  sampler_key_ = heap_key(now_ + period, next_seq_++);
+  return SamplerHandle{anchor_};
+}
+
 TimePoint Simulation::next_event_time() {
   prune();
-  if (heap_.empty()) {
+  const HeapKey next = heap_.empty()
+                           ? sampler_key_
+                           : std::min(heap_.front().key, sampler_key_);
+  if (next == kNoSampler) {
     return TimePoint::at_ms(std::numeric_limits<double>::infinity());
   }
-  return key_time(heap_.front().key);
+  return key_time(next);
+}
+
+bool Simulation::run_sampler(TimePoint horizon, HeapKey bound) {
+  TimePoint at = key_time(sampler_key_);
+  if (at > horizon) return false;
+  XAR_ASSERT(at >= now_);
+  // Each tick draws its successor's key exactly as a self-rescheduling
+  // event's schedule_in would have; nothing runs in between, so the
+  // ticks up to the next event all read the same state.
+  std::uint64_t ticks = 0;
+  do {
+    now_ = at;
+    ++ticks;
+    sampler_key_ = heap_key(now_ + sampler_period_, next_seq_++);
+    at = key_time(sampler_key_);
+  } while (sampler_key_ < bound && at <= horizon);
+  executed_ += ticks;
+  const std::uint64_t seq = next_seq_;
+  sampler_(ticks);
+  XAR_ASSERT(next_seq_ == seq);  // a sampler must not schedule events
+  return true;
 }
 
 bool Simulation::step(TimePoint horizon) {
   prune();
-  if (heap_.empty()) return false;
+  if (heap_.empty()) {
+    return sampler_key_ != kNoSampler && run_sampler(horizon, kNoSampler);
+  }
   const HeapEntry top = heap_.front();
+  if (sampler_key_ < top.key) return run_sampler(horizon, top.key);
   const TimePoint at = key_time(top.key);
   if (at > horizon) return false;
   XAR_ASSERT(at >= now_);
@@ -136,17 +175,19 @@ bool Simulation::step(TimePoint horizon) {
 }
 
 std::size_t Simulation::run() {
-  std::size_t n = 0;
-  while (step(TimePoint::at_ms(std::numeric_limits<double>::infinity()))) ++n;
-  return n;
+  const std::uint64_t before = executed_;
+  while (step(TimePoint::at_ms(std::numeric_limits<double>::infinity()))) {
+  }
+  return executed_ - before;
 }
 
 std::size_t Simulation::run_until(TimePoint horizon) {
   XAR_EXPECTS(horizon >= now_);
-  std::size_t n = 0;
-  while (step(horizon)) ++n;
+  const std::uint64_t before = executed_;
+  while (step(horizon)) {
+  }
   if (horizon > now_) now_ = horizon;
-  return n;
+  return executed_ - before;
 }
 
 }  // namespace xartrek::sim

@@ -12,6 +12,12 @@
 // generation-counted (an EventHandle is an index plus a generation, no
 // per-event reference counting).  Cancelled events leave a husk in the
 // heap that is reaped lazily when it reaches the top.
+//
+// One periodic sampler per Simulation runs off the heap, in a lane of
+// its own (start_sampler).  Its ticks are ordered, sequence-numbered and
+// counted exactly like a self-rescheduling event, so a run is
+// bit-identical to one with the heap event; but a tick costs no heap
+// push or pop, and the ticks between two heap events run as one call.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +81,44 @@ class Simulation {
     std::uint32_t generation_ = 0;
   };
 
+  /// The periodic sampler's callable.  Its argument is the number of
+  /// consecutive ticks the call stands for (>= 1).
+  using SamplerCallback = UniqueFunction<void(std::uint64_t)>;
+
+  /// Registration of the periodic sampler.  Move-only; destroying or
+  /// resetting it unregisters the sampler.  Safe whichever of it and
+  /// the Simulation is destroyed first.
+  class SamplerHandle {
+   public:
+    SamplerHandle() = default;
+    SamplerHandle(SamplerHandle&& other) noexcept = default;
+    SamplerHandle& operator=(SamplerHandle&& other) noexcept {
+      if (this != &other) {
+        reset();
+        anchor_ = std::move(other.anchor_);
+      }
+      return *this;
+    }
+    SamplerHandle(const SamplerHandle&) = delete;
+    SamplerHandle& operator=(const SamplerHandle&) = delete;
+    ~SamplerHandle() { reset(); }
+
+    /// Unregister the sampler.  Idempotent; a no-op once the
+    /// Simulation is gone.
+    void reset() {
+      if (anchor_) {
+        if (Simulation* sim = *anchor_) sim->stop_sampler();
+        anchor_.reset();
+      }
+    }
+
+   private:
+    friend class Simulation;
+    explicit SamplerHandle(std::shared_ptr<Simulation*> anchor)
+        : anchor_(std::move(anchor)) {}
+    std::shared_ptr<Simulation*> anchor_;
+  };
+
   Simulation() : anchor_(std::make_shared<Simulation*>(this)) {}
   ~Simulation() { *anchor_ = nullptr; }
   Simulation(const Simulation&) = delete;
@@ -92,7 +136,21 @@ class Simulation {
     return schedule_at(now_ + d, std::move(cb));
   }
 
-  /// Run until the queue is empty.  Returns the number of events executed.
+  /// Register the periodic sampler: its first tick is at now() + period,
+  /// and each tick schedules the next one `period` later.  A tick is
+  /// ordered against events exactly as if it were an event scheduled,
+  /// with schedule_in(period), by the tick before it (the first by this
+  /// call), and it counts as one executed event.  Ticks that fall
+  /// before the next event, and at or before the horizon, run as one
+  /// call cb(n) at the last of the n ticks, so the sampler must read
+  /// only state that changes inside events.  It must not schedule
+  /// events.  At most one sampler is registered at a time.
+  [[nodiscard]] SamplerHandle start_sampler(Duration period,
+                                            SamplerCallback cb);
+
+  /// Run until the queue is empty.  Returns the number of events
+  /// executed.  Never returns while a sampler is registered: its ticks
+  /// keep the simulation going forever.
   std::size_t run();
 
   /// Run events with timestamp <= horizon; afterwards the clock reads
@@ -100,24 +158,25 @@ class Simulation {
   /// number of events executed.
   std::size_t run_until(TimePoint horizon);
 
-  /// Execute at most one event with timestamp <= horizon.  Returns false
-  /// (and leaves the clock untouched) when none remains.  Lets callers
-  /// run until an external condition holds even while periodic
-  /// components (load monitors, load generators) keep the queue
-  /// populated forever.
+  /// Execute at most one event with timestamp <= horizon, or one run
+  /// of sampler ticks.  Returns false (and leaves the clock untouched)
+  /// when none remains.  Lets callers run until an external condition
+  /// holds even while periodic components (the sampler, load
+  /// generators) keep the simulation going forever.
   bool step_one(TimePoint horizon) { return step(horizon); }
 
   /// Number of events currently scheduled (including cancelled husks not
-  /// yet reaped); intended for tests and diagnostics.
+  /// yet reaped, excluding the sampler's next tick); intended for tests
+  /// and diagnostics.
   [[nodiscard]] std::size_t queued_events() const {
     return heap_.size() - (root_stale_ ? 1 : 0);
   }
 
-  /// Timestamp of the next runnable event, or +infinity when the queue
-  /// is empty.  Reaps cancelled husks and the deferred fired root on the
-  /// way, which is why it is non-const.  The sharded engine's epoch
-  /// scheduler uses this to size synchronization windows and to
-  /// fast-forward over globally idle stretches.
+  /// Timestamp of the next runnable event or sampler tick, or +infinity
+  /// when there is none.  Reaps cancelled husks and the deferred fired
+  /// root on the way, which is why it is non-const.  The sharded
+  /// engine's epoch scheduler uses this to size synchronization windows
+  /// and to fast-forward over globally idle stretches.
   [[nodiscard]] TimePoint next_event_time();
 
   /// Total events executed since construction.
@@ -141,6 +200,9 @@ class Simulation {
   /// numbers make keys unique, which is what preserves FIFO order among
   /// same-time events.
   using HeapKey = unsigned __int128;
+  /// sampler_key_ while no sampler is registered.  Every real key is
+  /// smaller: a timestamp's sign bit is clear.
+  static constexpr HeapKey kNoSampler = ~HeapKey{0};
 
   struct HeapEntry {
     HeapKey key;
@@ -163,9 +225,18 @@ class Simulation {
     return TimePoint::at_ms(ms);
   }
 
-  /// Pop and execute one runnable event with timestamp <= horizon.
-  /// Returns false if none remains.
+  /// Pop and execute one runnable event with timestamp <= horizon, or
+  /// the sampler ticks due before it.  Returns false if none remains.
   bool step(TimePoint horizon);
+
+  /// Run the sampler ticks with keys below `bound` and timestamps <=
+  /// horizon as one callback.  Returns false if the first is past the
+  /// horizon.
+  bool run_sampler(TimePoint horizon, HeapKey bound);
+  void stop_sampler() {
+    sampler_key_ = kNoSampler;
+    sampler_ = nullptr;
+  }
 
   /// Materialize the deferred root removal and reap cancelled husks
   /// until the root is a live event (or the heap is empty).
@@ -194,6 +265,10 @@ class Simulation {
   /// entry replaces the root with a single sift-down instead of a pop
   /// followed by a push.
   bool root_stale_ = false;
+  /// The sampler lane: its next tick's key, in the heap's key space.
+  HeapKey sampler_key_ = kNoSampler;
+  Duration sampler_period_ = Duration::zero();
+  SamplerCallback sampler_;
   std::shared_ptr<Simulation*> anchor_;
 };
 

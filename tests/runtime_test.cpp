@@ -101,8 +101,41 @@ TEST(LoadMonitorTest, SamplesPeriodically) {
   EXPECT_EQ(monitor.x86_load(), 0);
   sim.run_until(TimePoint::at_ms(150));
   EXPECT_EQ(monitor.x86_load(), 8);
-  EXPECT_GE(monitor.samples(), 2u);
+  EXPECT_EQ(monitor.samples(), 2u);  // at construction and at 100 ms
   for (int i = 0; i < 8; ++i) x86.detach_process();
+}
+
+// A load change at a tick instant is seen by that tick exactly when it
+// was scheduled before the tick was: each tick is scheduled by the one
+// before it (the first by the constructor).
+TEST(LoadMonitorTest, LoadChangeOnTickInstantOrdersByScheduling) {
+  sim::Simulation sim;
+  hw::CpuCluster x86(sim, hw::xeon_bronze_3104());
+  // Scheduled before the first tick was: the 100 ms tick sees it.
+  sim.schedule_at(TimePoint::at_ms(100), [&] { x86.attach_processes(1); });
+  LoadMonitor monitor(sim, x86, Duration::ms(100));
+  // Scheduled after it: the 100 ms tick misses it.
+  sim.schedule_at(TimePoint::at_ms(100), [&] { x86.attach_processes(2); });
+  sim.schedule_at(TimePoint::at_ms(50), [&] {
+    // Before the 100 ms tick ran: ordered ahead of the 200 ms tick.
+    sim.schedule_at(TimePoint::at_ms(200),
+                    [&] { x86.attach_processes(4); });
+  });
+  sim.schedule_at(TimePoint::at_ms(150), [&] {
+    // After the 100 ms tick ran: ordered behind the 200 ms tick.
+    sim.schedule_at(TimePoint::at_ms(200),
+                    [&] { x86.attach_processes(8); });
+  });
+  sim.run_until(TimePoint::at_ms(100));
+  EXPECT_EQ(monitor.x86_load(), 1);
+  EXPECT_EQ(monitor.samples(), 2u);
+  sim.run_until(TimePoint::at_ms(200));
+  EXPECT_EQ(monitor.x86_load(), 7);
+  EXPECT_EQ(monitor.samples(), 3u);
+  sim.run_until(TimePoint::at_ms(300));
+  EXPECT_EQ(monitor.x86_load(), 15);
+  EXPECT_EQ(monitor.samples(), 4u);
+  x86.detach_processes(15);
 }
 
 // --- Algorithm 2: the pure policy, exhaustively ---------------------------

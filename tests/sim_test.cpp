@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <ostream>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "sim/fifo_station.hpp"
 #include "sim/ps_resource.hpp"
@@ -287,6 +290,252 @@ TEST(SimulationTest, SelfReschedulingChainsInterleaveDeterministically) {
   for (std::size_t i = 1; i < trace.size(); ++i) {
     EXPECT_GE(trace[i].first, trace[i - 1].first);
   }
+}
+
+// --- Sampler lane ---------------------------------------------------------
+
+// One entry of a differential run's log: an event (id >= 0) or a sampler
+// tick (id -1), with the time it ran and the state it read.
+struct LogEntry {
+  double at_ms;
+  int id;
+  int value;
+  bool operator==(const LogEntry&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LogEntry& e) {
+  return os << "{" << e.at_ms << " ms, id " << e.id << ", value " << e.value
+            << "}";
+}
+
+// A seeded schedule run against either the sampler lane or the
+// self-rescheduling heap event the lane replaces.  Events log
+// themselves, overwrite the state the sampler reads, cancel earlier
+// events and spawn more: at the same instant, at exact tick instants
+// (before or after the preceding tick has run), or in between.  Both
+// variants draw from identically seeded generators in execution order,
+// so equal logs mean equal orderings.
+class SamplerScenario {
+ public:
+  SamplerScenario(std::uint64_t seed, TimePoint start, Duration period,
+                  bool lane)
+      : rng_(seed), period_(period) {
+    sim_.run_until(start);
+    // Tick instants, accumulated exactly as the engine accumulates them.
+    TimePoint t = start;
+    for (int k = 0; k < 20'000; ++k) ticks_.push_back(t = t + period);
+    if (lane) {
+      next_tick_ = ticks_.front();
+      sampler_ = sim_.start_sampler(period, [this](std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+          log_.push_back({next_tick_.to_ms(), -1, state_});
+          next_tick_ = next_tick_ + period_;
+        }
+        EXPECT_EQ(log_.back().at_ms, sim_.now().to_ms());
+      });
+    } else {
+      tick_ = sim_.schedule_in(period, [this] { heap_tick(); });
+    }
+  }
+
+  /// Schedule one event of the seeded mix.
+  void spawn() {
+    if (budget_ == 0) return;
+    --budget_;
+    const int id = next_id_++;
+    TimePoint at = sim_.now();  // kind 0: same instant
+    const auto kind = rng_.uniform_int(0, 3);
+    const auto next = std::lower_bound(ticks_.begin(), ticks_.end(), at);
+    const auto ahead = rng_.uniform_int(0, 2);
+    const double offset = rng_.uniform_real(0.0, 3.5 * period_.to_ms());
+    if (kind == 1 && ticks_.end() - next > ahead) {
+      at = next[ahead];  // exact tick instant
+    } else if (kind >= 2) {
+      at = at + Duration::ms(offset);
+    }
+    handles_.push_back(sim_.schedule_at(at, [this, id] { fire(id); }));
+  }
+
+  Simulation& sim() { return sim_; }
+  [[nodiscard]] const std::vector<LogEntry>& log() const { return log_; }
+  [[nodiscard]] const std::vector<TimePoint>& ticks() const { return ticks_; }
+
+ private:
+  void heap_tick() {
+    log_.push_back({sim_.now().to_ms(), -1, state_});
+    tick_ = sim_.schedule_in(period_, [this] { heap_tick(); });
+  }
+
+  void fire(int id) {
+    log_.push_back({sim_.now().to_ms(), id, state_});
+    state_ = static_cast<int>(rng_.uniform_int(0, 1'000'000));
+    if (rng_.bernoulli(0.15)) {
+      handles_[rng_.pick_index(handles_.size())].cancel();
+    }
+    for (auto children = rng_.uniform_int(0, 2); children > 0; --children) {
+      spawn();
+    }
+  }
+
+  Simulation sim_;
+  Rng rng_;
+  Duration period_;
+  std::vector<TimePoint> ticks_;
+  std::vector<LogEntry> log_;
+  std::vector<Simulation::EventHandle> handles_;
+  int state_ = 0;
+  int next_id_ = 0;
+  int budget_ = 600;
+  TimePoint next_tick_;
+  Simulation::EventHandle tick_;
+  Simulation::SamplerHandle sampler_;
+};
+
+// Drives the heap-event reference and the lane through the same rounds:
+// run_until or step_one to a horizon on a tick instant or between two,
+// then maybe an event inserted from outside.  One lane step may stand
+// for several reference steps (collapsed ticks), so the reference steps
+// until it has executed as many events; everything observable must then
+// agree.
+void run_differential(std::uint64_t seed, TimePoint start, Duration period) {
+  SamplerScenario ref(seed, start, period, /*lane=*/false);
+  SamplerScenario lane(seed, start, period, /*lane=*/true);
+  Rng driver(seed + 1000);
+  for (int i = 0; i < 6; ++i) {
+    ref.spawn();
+    lane.spawn();
+  }
+  const auto& ticks = lane.ticks();
+  for (int round = 0; round < 500; ++round) {
+    const auto next = std::upper_bound(ticks.begin(), ticks.end(),
+                                       lane.sim().now()) +
+                      driver.uniform_int(0, 4);
+    ASSERT_LT(next, ticks.end());
+    TimePoint horizon = *next;
+    if (driver.bernoulli(0.5)) {
+      horizon = horizon + period * driver.uniform_real(0.05, 0.95);
+    }
+    if (driver.bernoulli(0.5)) {
+      EXPECT_EQ(ref.sim().run_until(horizon),
+                lane.sim().run_until(horizon));
+    } else if (lane.sim().step_one(horizon)) {
+      while (ref.sim().executed_events() < lane.sim().executed_events()) {
+        ASSERT_TRUE(ref.sim().step_one(horizon));
+      }
+    } else {
+      EXPECT_FALSE(ref.sim().step_one(horizon));
+    }
+    ASSERT_EQ(ref.log(), lane.log()) << "seed " << seed << " round " << round;
+    ASSERT_EQ(ref.sim().executed_events(), lane.sim().executed_events());
+    ASSERT_EQ(ref.sim().now(), lane.sim().now());
+    ASSERT_EQ(ref.sim().next_event_time(), lane.sim().next_event_time());
+    if (driver.bernoulli(0.3)) {
+      ref.spawn();
+      lane.spawn();
+    }
+  }
+}
+
+TEST(SamplerLaneTest, MatchesHeapEventOnExactTicks) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    run_differential(seed, TimePoint::origin(), Duration::ms(10));
+  }
+}
+
+TEST(SamplerLaneTest, MatchesHeapEventOnInexactTicks) {
+  // 0.3 ms is not a binary fraction: tick instants carry rounding, which
+  // the lane must accumulate exactly as schedule_in would.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    run_differential(seed, TimePoint::at_ms(0.7), Duration::ms(0.3));
+  }
+}
+
+TEST(SamplerLaneTest, CollapsesTicksBeforeTheNextEvent) {
+  Simulation sim;
+  std::vector<std::pair<double, std::uint64_t>> calls;
+  auto handle = sim.start_sampler(Duration::ms(1), [&](std::uint64_t n) {
+    calls.emplace_back(sim.now().to_ms(), n);
+  });
+  bool fired = false;
+  sim.schedule_at(TimePoint::at_ms(10.5), [&] { fired = true; });
+  const TimePoint never = TimePoint::at_ms(1e9);
+  EXPECT_EQ(sim.next_event_time(), TimePoint::at_ms(1));
+  EXPECT_EQ(sim.queued_events(), 1u);  // the lane is not in the queue
+  ASSERT_TRUE(sim.step_one(never));
+  EXPECT_EQ(calls, (std::vector<std::pair<double, std::uint64_t>>{{10, 10}}));
+  EXPECT_EQ(sim.executed_events(), 10u);
+  EXPECT_FALSE(fired);
+  ASSERT_TRUE(sim.step_one(never));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), TimePoint::at_ms(10.5));
+  // A horizon between ticks stops the run at the last tick before it.
+  EXPECT_EQ(sim.run_until(TimePoint::at_ms(13.5)), 3u);
+  EXPECT_EQ(calls.back(), (std::pair<double, std::uint64_t>{13, 3}));
+  EXPECT_EQ(sim.now(), TimePoint::at_ms(13.5));
+  EXPECT_FALSE(sim.step_one(TimePoint::at_ms(13.9)));
+  EXPECT_EQ(sim.now(), TimePoint::at_ms(13.5));
+}
+
+TEST(SamplerLaneTest, SecondSamplerIsRejected) {
+  Simulation sim;
+  auto first = sim.start_sampler(Duration::ms(1), [](std::uint64_t) {});
+  EXPECT_THROW((void)sim.start_sampler(Duration::ms(1), [](std::uint64_t) {}),
+               ContractViolation);
+  // Once the first is unregistered, the lane is free again.
+  first.reset();
+  std::uint64_t ticks = 0;
+  auto second = sim.start_sampler(Duration::ms(2),
+                                  [&](std::uint64_t n) { ticks += n; });
+  sim.run_until(TimePoint::at_ms(10));
+  EXPECT_EQ(ticks, 5u);
+}
+
+TEST(SamplerLaneTest, SamplerThatSchedulesIsRejected) {
+  Simulation sim;
+  auto handle = sim.start_sampler(Duration::ms(1), [&](std::uint64_t) {
+    sim.schedule_in(Duration::ms(1), [] {});
+  });
+  EXPECT_THROW(sim.run_until(TimePoint::at_ms(5)), ContractViolation);
+}
+
+TEST(SamplerLaneTest, ResetStopsTicksAndIsIdempotent) {
+  Simulation sim;
+  std::uint64_t ticks = 0;
+  auto handle = sim.start_sampler(Duration::ms(1),
+                                  [&](std::uint64_t n) { ticks += n; });
+  sim.run_until(TimePoint::at_ms(3));
+  EXPECT_EQ(ticks, 3u);
+  handle.reset();
+  handle.reset();
+  EXPECT_EQ(sim.next_event_time().to_ms(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.run_until(TimePoint::at_ms(10)), 0u);
+  EXPECT_EQ(ticks, 3u);
+  EXPECT_EQ(sim.executed_events(), 3u);
+}
+
+TEST(SamplerLaneTest, OwnerDestroyedBeforeSimulation) {
+  Simulation sim;
+  std::uint64_t ticks = 0;
+  {
+    auto handle = sim.start_sampler(Duration::ms(1),
+                                    [&](std::uint64_t n) { ticks += n; });
+    Simulation::SamplerHandle moved = std::move(handle);
+    sim.run_until(TimePoint::at_ms(2));
+  }
+  sim.run_until(TimePoint::at_ms(10));
+  EXPECT_EQ(ticks, 2u);
+}
+
+TEST(SamplerLaneTest, SimulationDestroyedBeforeOwner) {
+  Simulation::SamplerHandle handle;
+  {
+    auto sim = std::make_unique<Simulation>();
+    handle = sim->start_sampler(Duration::ms(1), [](std::uint64_t) {});
+    sim->run_until(TimePoint::at_ms(2));
+  }
+  handle.reset();  // the Simulation is gone: a no-op, not a dangling call
+  handle.reset();
 }
 
 // --- Processor sharing ------------------------------------------------
