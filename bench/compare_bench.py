@@ -54,6 +54,10 @@ METRICS = {
         # replaced, same workload, same run.
         ("sampler.speedup", "higher", False),
         ("sampler.lane.alloc_calls_per_event", "abs", False),
+        # Re-armable timers vs the cancel-and-reschedule heap events they
+        # replaced, same workload, same run.
+        ("timer.speedup", "higher", False),
+        ("timer.lane.alloc_calls_per_event", "abs", False),
         ("events.steady_churn.pooled.events_per_sec", "higher", True),
         ("protocol.single_pass.requests_per_sec", "higher", True),
         ("sharded.single_queue.wall_events_per_sec", "higher", True),

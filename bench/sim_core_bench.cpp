@@ -6,7 +6,9 @@
 // (shared_ptr-per-event priority_queue core; two-BinaryWriter concat
 // framing).  A global counting-allocator hook measures bytes and calls
 // allocated per event/request.  A sampler section times the periodic
-// sampler lane against the self-rescheduling heap event it replaced.
+// sampler lane against the self-rescheduling heap event it replaced,
+// and a timer section times re-armable timers against the cancel-and-
+// reschedule heap events they replaced.
 // Results land in BENCH_sim_core.json so future perf PRs have a tracked
 // trajectory (schema: docs/perf.md).
 #include <chrono>
@@ -384,6 +386,90 @@ SamplerResult run_sampler(std::uint64_t ticks, bool lane) {
   return r;
 }
 
+// --- re-armable timers -----------------------------------------------------
+
+/// The processor-sharing shape: one timer per resource, and every firing
+/// re-arms its timer twice -- once when the completion is processed,
+/// once more when the completion's callback resubmits work.  The heap
+/// side is the design the timer lane replaced: each re-arm cancels the
+/// pending event and schedules a new one.  Periods are binary fractions,
+/// so the timers tie at shared instants and the checksum pins the order.
+constexpr std::size_t kTimers = 4;
+
+struct TimerModel {
+  struct Unit {
+    TimerModel* model = nullptr;
+    std::uint64_t index = 0;
+    double period_ms = 1.0;
+    sim::Simulation::Timer timer;
+    sim::Simulation::EventHandle pending;
+  };
+
+  sim::Simulation* sim = nullptr;
+  bool lane = false;
+  std::uint64_t budget = 0;
+  std::uint64_t checksum = 0;
+  std::vector<Unit> units;  // sized once: timer contexts point in
+
+  void fire(Unit& u) {
+    const auto quarter_ms = static_cast<std::uint64_t>(sim->now().to_ms() * 4);
+    checksum = checksum * 1'000'003 + quarter_ms * kTimers + u.index;
+    if (budget == 0) return;
+    --budget;
+    rearm(u, sim->now() + Duration::ms(u.period_ms * 2.0));
+    rearm(u, sim->now() + Duration::ms(u.period_ms));
+  }
+  void rearm(Unit& u, TimePoint at) {
+    if (lane) {
+      u.timer.arm(at);
+      return;
+    }
+    u.pending.cancel();
+    u.pending = sim->schedule_at(at, [p = &u] { p->model->fire(*p); });
+  }
+};
+
+struct TimerResult : ChurnResult {
+  std::uint64_t checksum = 0;
+};
+
+TimerResult run_timer(std::uint64_t firings, std::uint64_t warmup,
+                      bool lane) {
+  sim::Simulation sim;
+  TimerModel model;
+  model.sim = &sim;
+  model.lane = lane;
+  model.budget = firings + warmup - kTimers;
+  model.units.resize(kTimers);
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    TimerModel::Unit& u = model.units[i];
+    u.model = &model;
+    u.index = i;
+    u.period_ms = 0.25 + 0.5 * static_cast<double>(i);
+    if (lane) {
+      u.timer = sim.add_timer(
+          [](void* ctx) {
+            auto* unit = static_cast<TimerModel::Unit*>(ctx);
+            unit->model->fire(*unit);
+          },
+          &u);
+    }
+    model.rearm(u, TimePoint::at_ms(u.period_ms));
+  }
+  std::uint64_t stepped = 0;
+  while (stepped < warmup && sim.step_one(TimePoint::at_ms(1e18))) ++stepped;
+  const AllocSnapshot before = alloc_snapshot();
+  const auto start = Clock::now();
+  const std::size_t ran = sim.run();
+  TimerResult r;
+  r.seconds = seconds_since(start);
+  const AllocSnapshot after = alloc_snapshot();
+  r.events = ran;
+  r.allocs = {after.calls - before.calls, after.bytes - before.bytes};
+  r.checksum = model.checksum;
+  return r;
+}
+
 // --- sharded engine ---------------------------------------------------------
 
 /// The multi-queue scaling workload: `total_chains` self-rescheduling
@@ -571,6 +657,18 @@ void emit_sampler(std::ostream& os, const SamplerResult& lane,
   os << ",\n    \"speedup\": " << rate(lane) / rate(heap) << "\n  },\n";
 }
 
+void emit_timer(std::ostream& os, const TimerResult& lane,
+                const TimerResult& heap) {
+  os << "  \"timer\": {\n"
+     << "    \"timers\": " << kTimers << ",\n"
+     << "    \"rearms_per_firing\": 2,\n"
+     << "    \"firings\": " << lane.events << ",\n";
+  emit_engine(os, "lane", lane);
+  os << ",\n";
+  emit_engine(os, "heap_event", heap);
+  os << ",\n    \"speedup\": " << rate(lane) / rate(heap) << "\n  },\n";
+}
+
 void emit_sharded(std::ostream& os, const char* key, const ShardResult& r) {
   os << "    \"" << key << "\": {\n"
      << "      \"wall_seconds\": " << r.wall_seconds << ",\n"
@@ -594,6 +692,7 @@ int bench_main() {
   // it at full scale so its speedup ratios stay out of the noise floor.
   const std::uint64_t kRoundTrips = 100'000;
   const std::uint64_t kSamplerTicks = smoke ? 2'000'000 : 10'000'000;
+  const std::uint64_t kTimerFirings = smoke ? 1'000'000 : 5'000'000;
   const std::uint64_t kShardEvents = smoke ? 250'000 : 1'500'000;
   // The sharded section models the wide regime the ROADMAP targets:
   // 4x the chain count of the churn scenarios, so each epoch carries
@@ -663,6 +762,24 @@ int bench_main() {
       sampler_lane.events != sampler_heap.events) {
     std::cerr << "[sim_core_bench] sampler lane diverged from the heap "
                  "event\n";
+    return 1;
+  }
+
+  std::cerr << "[sim_core_bench] timer: " << kTimerFirings
+            << " firings, lane vs cancel-and-reschedule heap event...\n";
+  const auto timer_lane = best2([&] {
+    return run_timer(kTimerFirings, kWarmup, /*lane=*/true);
+  });
+  const auto timer_heap = best2([&] {
+    return run_timer(kTimerFirings, kWarmup, /*lane=*/false);
+  });
+  // The lane must replay the heap events exactly: same firings, same
+  // instants, same order.
+  if (timer_lane.events != kTimerFirings ||
+      timer_lane.events != timer_heap.events ||
+      timer_lane.checksum != timer_heap.checksum) {
+    std::cerr << "[sim_core_bench] timer lane diverged from the heap "
+                 "events\n";
     return 1;
   }
 
@@ -760,6 +877,7 @@ int bench_main() {
               proto_legacy.seconds)
       << "\n  },\n";
   emit_sampler(out, sampler_lane, sampler_heap);
+  emit_timer(out, timer_lane, timer_heap);
   out << "  \"sharded\": {\n"
       << "    \"total_events\": " << kShardEvents << ",\n"
       << "    \"chains\": " << kShardChains << ",\n"
@@ -805,6 +923,10 @@ int bench_main() {
             << "[sim_core_bench] sampler: lane=" << rate(sampler_lane)
             << " heap_event=" << rate(sampler_heap)
             << " ticks/s, speedup=" << rate(sampler_lane) / rate(sampler_heap)
+            << "\n"
+            << "[sim_core_bench] timer: lane=" << rate(timer_lane)
+            << " heap_event=" << rate(timer_heap)
+            << " firings/s, speedup=" << rate(timer_lane) / rate(timer_heap)
             << "\n"
             << "[sim_core_bench] sharded: single_queue=" << single_rate
             << " ev/s, 1-shard ratio=" << one_shard_ratio

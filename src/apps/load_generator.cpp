@@ -13,13 +13,12 @@ LoadGenerator::LoadGenerator(platform::Testbed& testbed, int processes,
   XAR_EXPECTS(opts_.run_demand > Duration::zero());
   XAR_EXPECTS(opts_.demand_jitter >= 0.0);
   // Batched bookkeeping: ONE process-table update (and, for cluster
-  // sweeps, one pool/heap reservation) for the whole cohort, then one
-  // O(log n) submit per job -- nothing else scales with the count.
+  // sweeps, one job-pool reservation) for the whole cohort, then one
+  // O(log n) submit per job -- nothing else scales with the count.  The
+  // runs are processor-sharing jobs, which hold no event-heap slot.
   testbed_.x86().attach_processes(processes);
   if (opts_.reserve) {
-    const auto n = static_cast<std::size_t>(processes);
-    testbed_.x86().reserve_jobs(n + 16);
-    testbed_.simulation().reserve_events(n + 64);
+    testbed_.x86().reserve_jobs(static_cast<std::size_t>(processes) + 16);
   }
   lanes_.resize(static_cast<std::size_t>(processes));
   for (std::uint32_t lane = 0;

@@ -39,8 +39,8 @@ class LoadGenerator {
     /// of landing on one batched tick (the modulus is prime and larger
     /// than any bench cohort, so lanes get distinct demands).
     double demand_jitter = 0.0;
-    /// Pre-grow the job pool and event heap to the cohort size so the
-    /// attach burst performs no reallocation beyond the growth itself.
+    /// Pre-grow the job pool to the cohort size so the attach burst
+    /// performs no reallocation beyond the growth itself.
     bool reserve = false;
   };
 

@@ -12,7 +12,12 @@ constexpr double kEps = 1e-9;
 }  // namespace
 
 PsResource::PsResource(Simulation& sim, Config cfg)
-    : sim_(sim), cfg_(std::move(cfg)), last_advance_(sim.now()) {
+    : sim_(sim),
+      cfg_(std::move(cfg)),
+      last_advance_(sim.now()),
+      timer_(sim.add_timer(
+          [](void* self) { static_cast<PsResource*>(self)->on_tick(); },
+          this)) {
   XAR_EXPECTS(cfg_.capacity > 0.0);
   XAR_EXPECTS(cfg_.per_job_cap > 0.0);
 }
@@ -21,17 +26,6 @@ void PsResource::release_slot(std::uint32_t slot) {
   slots_[slot].on_complete = nullptr;
   slots_.release(slot);  // invalidates outstanding ids and heap husks
   --live_;
-}
-
-void PsResource::heap_push(HeapEntry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-void PsResource::heap_pop_root() {
-  XAR_ASSERT(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  heap_.pop_back();
 }
 
 PsResource::JobId PsResource::submit(double demand, Callback on_complete) {
@@ -45,7 +39,8 @@ PsResource::JobId PsResource::submit(double demand, Callback on_complete) {
   s.on_complete = std::move(on_complete);
   ++live_;
   const std::uint32_t generation = slots_.generation_of(slot);
-  heap_push(HeapEntry{s.finish_v, s.seq, slot, generation});
+  key_heap_push(heap_,
+                HeapEntry{pack_key(s.finish_v, s.seq), slot, generation});
   reschedule();
   return encode_id(slot, generation);
 }
@@ -95,22 +90,27 @@ void PsResource::advance() {
 }
 
 void PsResource::reschedule() {
-  pending_.cancel();
   // Reap cancelled husks so the root names the next live completion.
-  while (!heap_.empty() && !entry_live(heap_.front())) heap_pop_root();
+  while (!heap_.empty() && !entry_live(heap_.front())) {
+    key_heap_pop_root(heap_);
+  }
   if (heap_.empty()) {
     // Idle: no live job (every live job holds a heap entry) and no
     // outstanding finish time references the clock, so rebase it.
     // Otherwise vtime_ would grow monotonically forever and its ulp
     // would eventually swallow small demands in long simulations.
     vtime_ = 0.0;
+    timer_.disarm();
     return;
   }
   const double rate = rate_per_job(live_);
   XAR_ASSERT(rate > 0.0);
-  double dt_ms = (heap_.front().finish_v - vtime_) / rate;
+  double dt_ms = (key_value(heap_.front().key) - vtime_) / rate;
   if (dt_ms < 0.0) dt_ms = 0.0;
-  pending_ = sim_.schedule_in(Duration::ms(dt_ms), [this] { on_tick(); });
+  // Every call re-arms, the completion path twice (here, then again
+  // when a callback resubmits): each arm draws a sequence number, and
+  // same-instant ties across the whole simulation order on them.
+  timer_.arm(sim_.now() + Duration::ms(dt_ms));
 }
 
 void PsResource::on_tick() {
@@ -127,14 +127,14 @@ void PsResource::on_tick() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
     if (!entry_live(top)) {
-      heap_pop_root();
+      key_heap_pop_root(heap_);
       continue;
     }
     JobSlot& s = slots_[top.slot];
     if (s.finish_v - vtime_ > kEps) break;
     done.emplace_back(s.seq, std::move(s.on_complete));
     release_slot(top.slot);
-    heap_pop_root();
+    key_heap_pop_root(heap_);
   }
   // The heap surfaces the batch in (finish_v, seq) order; a batch may
   // contain *near*-ties whose finish times differ only by rounding

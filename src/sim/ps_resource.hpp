@@ -37,6 +37,7 @@
 #include "common/assert.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
+#include "sim/key_heap.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_pool.hpp"
 
@@ -121,18 +122,13 @@ class PsResource {
   };
 
   /// Heap entry: ordering key only; the callback stays in the slab so
-  /// sift operations move 24-byte PODs.
+  /// sift operations move 32-byte PODs.
   struct HeapEntry {
-    double finish_v;
-    std::uint64_t seq;
+    /// (finish_v, seq) key (key_heap.hpp); finish_v is never negative.
+    HeapKey key;
     std::uint32_t slot;
     std::uint32_t generation;
   };
-
-  [[nodiscard]] static bool later(const HeapEntry& a, const HeapEntry& b) {
-    if (a.finish_v != b.finish_v) return a.finish_v > b.finish_v;
-    return a.seq > b.seq;
-  }
 
   [[nodiscard]] double rate_per_job(std::size_t n) const {
     if (n == 0) return 0.0;
@@ -159,30 +155,29 @@ class PsResource {
 
   void release_slot(std::uint32_t slot);
 
-  void heap_push(HeapEntry entry);
-  void heap_pop_root();
-
   /// Advance the virtual clock (and delivered-work accounting) to now.
   void advance();
 
-  /// (Re)arm the next-completion event from current state.
+  /// (Re)arm the next-completion timer from current state.
   void reschedule();
 
-  /// Event body: complete every job whose finish virtual time has been
+  /// Timer body: complete every job whose finish virtual time has been
   /// reached.
   void on_tick();
 
   Simulation& sim_;
   Config cfg_;
   SlotPool<JobSlot> slots_;
-  std::vector<HeapEntry> heap_;  ///< binary min-heap on (finish_v, seq)
+  std::vector<HeapEntry> heap_;  ///< key heap on (finish_v, seq)
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
   double scale_ = 1.0;           ///< capacity multiplier (gray faults)
   double vtime_ = 0.0;           ///< attained service per resident job
   TimePoint last_advance_ = TimePoint::origin();
   double delivered_ = 0.0;
-  Simulation::EventHandle pending_;
+  /// Fires at the next completion; disarmed while idle.  Destroying the
+  /// resource unregisters it, so jobs in flight never fire.
+  Simulation::Timer timer_;
   /// (submission seq, callback) of the jobs completing in the current
   /// tick; reused across ticks.  Kept as pairs so a batch containing
   /// near-ties (finish times equal up to rounding) can be put back into

@@ -18,10 +18,18 @@
 // counted exactly like a self-rescheduling event, so a run is
 // bit-identical to one with the heap event; but a tick costs no heap
 // push or pop, and the ticks between two heap events run as one call.
+//
+// Re-armable timers (add_timer) are a second off-heap lane, for the
+// components that cancel and reschedule one pending event over and over
+// (a processor-sharing resource's next completion).  Arming draws the
+// key schedule_at would, and a firing counts as one executed event, so
+// a run is bit-identical to one with cancel-and-reschedule; but a
+// re-arm is one sift in a small heap of timers instead of a heap push
+// that leaves a cancelled husk behind.  Neither lane is counted by
+// queued_events().
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -29,6 +37,7 @@
 #include "common/assert.hpp"
 #include "common/time.hpp"
 #include "sim/callback.hpp"
+#include "sim/key_heap.hpp"
 #include "sim/slot_pool.hpp"
 
 namespace xartrek::sim {
@@ -119,6 +128,63 @@ class Simulation {
     std::shared_ptr<Simulation*> anchor_;
   };
 
+  /// A timer's callable: a plain function and the context it is called
+  /// with.
+  using TimerFn = void (*)(void*);
+
+  /// A re-armable timer (add_timer).  Move-only; destroying or resetting
+  /// it unregisters the timer, which then never fires.  Safe whichever
+  /// of it and the Simulation is destroyed first.
+  class Timer {
+   public:
+    Timer() = default;
+    Timer(Timer&& other) noexcept = default;
+    Timer& operator=(Timer&& other) noexcept {
+      if (this != &other) {
+        reset();
+        anchor_ = std::move(other.anchor_);
+        id_ = other.id_;
+      }
+      return *this;
+    }
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+    ~Timer() { reset(); }
+
+    /// Fire at `t` (>= now()), replacing any pending instant.  The timer
+    /// is ordered against events exactly as if this call cancelled its
+    /// pending event and made schedule_at(t).  Requires a live
+    /// registration.
+    void arm(TimePoint t) {
+      XAR_EXPECTS(anchor_ != nullptr && *anchor_ != nullptr);
+      (*anchor_)->arm_timer(id_, t);
+    }
+
+    /// Keep the timer from firing until it is armed again.  Idempotent;
+    /// a no-op once the Simulation is gone.
+    void disarm() {
+      if (anchor_) {
+        if (Simulation* sim = *anchor_) sim->disarm_timer(id_);
+      }
+    }
+
+    /// Unregister the timer.  Idempotent; a no-op once the Simulation
+    /// is gone.
+    void reset() {
+      if (anchor_) {
+        if (Simulation* sim = *anchor_) sim->remove_timer(id_);
+        anchor_.reset();
+      }
+    }
+
+   private:
+    friend class Simulation;
+    Timer(std::shared_ptr<Simulation*> anchor, std::uint32_t id)
+        : anchor_(std::move(anchor)), id_(id) {}
+    std::shared_ptr<Simulation*> anchor_;
+    std::uint32_t id_ = 0;
+  };
+
   Simulation() : anchor_(std::make_shared<Simulation*>(this)) {}
   ~Simulation() { *anchor_ = nullptr; }
   Simulation(const Simulation&) = delete;
@@ -141,12 +207,18 @@ class Simulation {
   /// ordered against events exactly as if it were an event scheduled,
   /// with schedule_in(period), by the tick before it (the first by this
   /// call), and it counts as one executed event.  Ticks that fall
-  /// before the next event, and at or before the horizon, run as one
-  /// call cb(n) at the last of the n ticks, so the sampler must read
-  /// only state that changes inside events.  It must not schedule
-  /// events.  At most one sampler is registered at a time.
+  /// before the next event or timer firing, and at or before the
+  /// horizon, run as one call cb(n) at the last of the n ticks, so the
+  /// sampler must read only state that changes inside events.  It must
+  /// not schedule events or arm timers.  At most one sampler is
+  /// registered at a time.
   [[nodiscard]] SamplerHandle start_sampler(Duration period,
                                             SamplerCallback cb);
+
+  /// Register a re-armable timer that calls fn(ctx) when it fires.  It
+  /// starts disarmed.  A firing disarms the timer, counts as one
+  /// executed event, and may re-arm it.
+  [[nodiscard]] Timer add_timer(TimerFn fn, void* ctx);
 
   /// Run until the queue is empty.  Returns the number of events
   /// executed.  Never returns while a sampler is registered: its ticks
@@ -158,22 +230,22 @@ class Simulation {
   /// number of events executed.
   std::size_t run_until(TimePoint horizon);
 
-  /// Execute at most one event with timestamp <= horizon, or one run
-  /// of sampler ticks.  Returns false (and leaves the clock untouched)
-  /// when none remains.  Lets callers run until an external condition
-  /// holds even while periodic components (the sampler, load
-  /// generators) keep the simulation going forever.
+  /// Execute at most one event or timer firing with timestamp <=
+  /// horizon, or one run of sampler ticks.  Returns false (and leaves
+  /// the clock untouched) when none remains.  Lets callers run until an
+  /// external condition holds even while periodic components (the
+  /// sampler, load generators) keep the simulation going forever.
   bool step_one(TimePoint horizon) { return step(horizon); }
 
   /// Number of events currently scheduled (including cancelled husks not
-  /// yet reaped, excluding the sampler's next tick); intended for tests
-  /// and diagnostics.
+  /// yet reaped, excluding the sampler's next tick and armed timers);
+  /// intended for tests and diagnostics.
   [[nodiscard]] std::size_t queued_events() const {
     return heap_.size() - (root_stale_ ? 1 : 0);
   }
 
-  /// Timestamp of the next runnable event or sampler tick, or +infinity
-  /// when there is none.  Reaps cancelled husks and the deferred fired
+  /// Timestamp of the next runnable event, timer or sampler tick, or
+  /// +infinity when there is none.  Reaps cancelled husks and the deferred fired
   /// root on the way, which is why it is non-const.  The sharded
   /// engine's epoch scheduler uses this to size synchronization windows
   /// and to fast-forward over globally idle stretches.
@@ -190,19 +262,12 @@ class Simulation {
   }
 
  private:
-  /// The heap orders on a single 128-bit integer key: the raw IEEE-754
-  /// bits of the timestamp in the high word and the insertion sequence
-  /// number in the low word.  Timestamps never go negative (the clock
-  /// starts at the origin and schedule_at rejects the past), so the bit
-  /// pattern orders exactly like the double -- and a one-word-pair
-  /// integer compare lets sift-down pick the minimum child with
-  /// conditional moves instead of unpredictable branches.  Sequence
-  /// numbers make keys unique, which is what preserves FIFO order among
-  /// same-time events.
-  using HeapKey = unsigned __int128;
-  /// sampler_key_ while no sampler is registered.  Every real key is
-  /// smaller: a timestamp's sign bit is clear.
-  static constexpr HeapKey kNoSampler = ~HeapKey{0};
+  /// The key of a lane with nothing due (no sampler, no armed timer, an
+  /// empty heap).  Every real key is smaller: a timestamp's sign bit is
+  /// clear.
+  static constexpr HeapKey kNever = ~HeapKey{0};
+  /// TimerSlot::pos of a disarmed timer.
+  static constexpr std::uint32_t kNotArmed = ~std::uint32_t{0};
 
   struct HeapEntry {
     HeapKey key;
@@ -210,23 +275,30 @@ class Simulation {
     std::uint32_t generation;
   };
 
+  /// Event keys are (timestamp, seq) keys (key_heap.hpp).  Timestamps
+  /// never go negative: the clock starts at the origin and schedule_at
+  /// rejects the past.
   static HeapKey heap_key(TimePoint t, std::uint64_t seq) {
-    double ms = t.to_ms();
-    if (ms == 0.0) ms = 0.0;  // canonicalize -0.0: its sign bit would
-                              // order after every positive timestamp
-    std::uint64_t bits;
-    std::memcpy(&bits, &ms, sizeof(bits));
-    return (static_cast<HeapKey>(bits) << 64) | seq;
+    return pack_key(t.to_ms(), seq);
   }
   static TimePoint key_time(HeapKey key) {
-    const std::uint64_t bits = static_cast<std::uint64_t>(key >> 64);
-    double ms;
-    std::memcpy(&ms, &bits, sizeof(ms));
-    return TimePoint::at_ms(ms);
+    return TimePoint::at_ms(key_value(key));
   }
 
-  /// Pop and execute one runnable event with timestamp <= horizon, or
-  /// the sampler ticks due before it.  Returns false if none remains.
+  /// A registered timer.  `fn` is null while the slot is free.
+  struct TimerSlot {
+    TimerFn fn;
+    void* ctx;
+    std::uint32_t pos;  ///< index in timer_heap_, or kNotArmed
+  };
+  struct TimerEntry {
+    HeapKey key;
+    std::uint32_t id;
+  };
+
+  /// Pop and execute one runnable event or timer with timestamp <=
+  /// horizon, or the sampler ticks due before it.  Returns false if none
+  /// remains.
   bool step(TimePoint horizon);
 
   /// Run the sampler ticks with keys below `bound` and timestamps <=
@@ -234,9 +306,17 @@ class Simulation {
   /// horizon.
   bool run_sampler(TimePoint horizon, HeapKey bound);
   void stop_sampler() {
-    sampler_key_ = kNoSampler;
+    sampler_key_ = kNever;
     sampler_ = nullptr;
   }
+
+  void arm_timer(std::uint32_t id, TimePoint t);
+  void disarm_timer(std::uint32_t id);
+  void remove_timer(std::uint32_t id);
+  /// Disarm the earliest timer and call it.
+  void fire_timer();
+  /// Fill the hole at timer_heap_[i] with `entry`, sifting it up or down.
+  void timer_place(std::size_t i, TimerEntry entry);
 
   /// Materialize the deferred root removal and reap cancelled husks
   /// until the root is a live event (or the heap is empty).
@@ -250,8 +330,6 @@ class Simulation {
   }
 
   void heap_push(HeapEntry entry);
-  void heap_pop_root();
-  void sift_down_from_root(HeapEntry entry);
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
@@ -265,8 +343,13 @@ class Simulation {
   /// entry replaces the root with a single sift-down instead of a pop
   /// followed by a push.
   bool root_stale_ = false;
+  /// The timer lane: registrations by id (freed ids are reused), and a
+  /// binary min-heap of the armed ones on the event heap's key.
+  std::vector<TimerSlot> timers_;
+  std::vector<std::uint32_t> free_timers_;
+  std::vector<TimerEntry> timer_heap_;
   /// The sampler lane: its next tick's key, in the heap's key space.
-  HeapKey sampler_key_ = kNoSampler;
+  HeapKey sampler_key_ = kNever;
   Duration sampler_period_ = Duration::zero();
   SamplerCallback sampler_;
   std::shared_ptr<Simulation*> anchor_;

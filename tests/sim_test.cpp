@@ -538,6 +538,371 @@ TEST(SamplerLaneTest, SimulationDestroyedBeforeOwner) {
   handle.reset();
 }
 
+// --- Timer lane ---------------------------------------------------------
+
+// A seeded program of heap events, 1-8 re-armable timers and a sampler,
+// run against either the timer lane or a reference that models each
+// timer as one heap event it cancels and reschedules.  Events and timer
+// firings log themselves, overwrite the state the sampler reads,
+// schedule and cancel events, and arm and disarm timers: at now(), at
+// the exact instant of another event or timer (armed before or after
+// it), or in between.  Both variants draw from identically seeded
+// generators in execution order, so equal logs mean equal orderings.
+class TimerScenario {
+ public:
+  TimerScenario(std::uint64_t seed, bool lane) : rng_(seed), lane_(lane) {
+    const auto count = static_cast<std::size_t>(rng_.uniform_int(1, 8));
+    timers_.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      TimerRef& ref = timers_[k];
+      ref.owner = this;
+      ref.index = static_cast<int>(k);
+      if (lane_) {
+        ref.timer = sim_.add_timer(
+            [](void* ctx) {
+              auto* r = static_cast<TimerRef*>(ctx);
+              r->owner->fire(kTimerIdBase + r->index);
+            },
+            &ref);
+      }
+    }
+    const Duration period = Duration::ms(rng_.uniform_real(0.2, 1.7));
+    sampler_ = sim_.start_sampler(period, [this](std::uint64_t n) {
+      // A sampler call logs the ticks it stands for as a negative id.
+      log_.push_back({sim_.now().to_ms(), -static_cast<int>(n), state_});
+    });
+  }
+  TimerScenario(const TimerScenario&) = delete;
+  TimerScenario& operator=(const TimerScenario&) = delete;
+
+  /// One seeded action from outside the event loop.
+  void poke() {
+    if (rng_.bernoulli(0.5)) {
+      spawn();
+    } else {
+      arm(rng_.pick_index(timers_.size()));
+    }
+  }
+
+  /// A horizon for the pacer: the instant of something scheduled (a
+  /// timer's or an event's) or a point between such instants.
+  TimePoint horizon(Rng& pacer) {
+    TimePoint t = sim_.now() + Duration::ms(pacer.uniform_real(0.0, 3.0));
+    if (!instants_.empty() && pacer.bernoulli(0.6)) {
+      const TimePoint pick = instants_[pacer.pick_index(instants_.size())];
+      if (pick >= sim_.now()) t = pick;
+    }
+    if (pacer.bernoulli(0.3)) t = t + Duration::ms(pacer.uniform_real(0, 1));
+    return t;
+  }
+
+  Simulation& sim() { return sim_; }
+  [[nodiscard]] const std::vector<LogEntry>& log() const { return log_; }
+
+  /// Log ids of timer firings start here.
+  static constexpr int kTimerIdBase = 1'000'000;
+
+ private:
+  struct TimerRef {
+    TimerScenario* owner = nullptr;
+    int index = 0;
+    Simulation::Timer timer;          // the lane
+    Simulation::EventHandle pending;  // the reference
+  };
+
+  /// A future instant: now(), a recorded instant still ahead, or a fresh
+  /// one (which is recorded for later picks).
+  TimePoint pick_time() {
+    const auto kind = rng_.uniform_int(0, 3);
+    if (kind == 0) return sim_.now();
+    if (kind == 1 && !instants_.empty()) {
+      const TimePoint pick = instants_[rng_.pick_index(instants_.size())];
+      if (pick >= sim_.now()) return pick;
+    }
+    const TimePoint fresh =
+        sim_.now() + Duration::ms(rng_.uniform_real(0.0, 4.0));
+    instants_.push_back(fresh);
+    return fresh;
+  }
+
+  void spawn() {
+    if (budget_ == 0) return;
+    --budget_;
+    const int id = next_id_++;
+    handles_.push_back(sim_.schedule_at(pick_time(), [this, id] { fire(id); }));
+  }
+
+  void arm(std::size_t k) {
+    if (budget_ == 0) return;
+    --budget_;
+    const TimePoint at = pick_time();
+    TimerRef& ref = timers_[k];
+    if (lane_) {
+      ref.timer.arm(at);
+    } else {
+      ref.pending.cancel();
+      ref.pending = sim_.schedule_at(at, [this, k] {
+        fire(kTimerIdBase + static_cast<int>(k));
+      });
+    }
+  }
+
+  void disarm(std::size_t k) {
+    if (lane_) {
+      timers_[k].timer.disarm();
+    } else {
+      timers_[k].pending.cancel();
+    }
+  }
+
+  void fire(int id) {
+    log_.push_back({sim_.now().to_ms(), id, state_});
+    state_ = static_cast<int>(rng_.uniform_int(0, 1'000'000));
+    if (id >= kTimerIdBase && rng_.bernoulli(0.5)) {
+      // Re-arm from inside its own firing, once or twice (the second
+      // replaces the first), as a processor-sharing completion does.
+      const auto self = static_cast<std::size_t>(id - kTimerIdBase);
+      arm(self);
+      if (rng_.bernoulli(0.3)) arm(self);
+    }
+    for (auto n = rng_.uniform_int(0, 2); n > 0; --n) {
+      arm(rng_.pick_index(timers_.size()));
+    }
+    if (rng_.bernoulli(0.2)) disarm(rng_.pick_index(timers_.size()));
+    if (rng_.bernoulli(0.15) && !handles_.empty()) {
+      handles_[rng_.pick_index(handles_.size())].cancel();
+    }
+    for (auto n = rng_.uniform_int(0, 1); n > 0; --n) spawn();
+  }
+
+  Simulation sim_;
+  Rng rng_;
+  bool lane_;
+  std::vector<TimerRef> timers_;  // sized once: timer contexts point in
+  std::vector<Simulation::EventHandle> handles_;
+  std::vector<TimePoint> instants_;
+  std::vector<LogEntry> log_;
+  int state_ = 0;
+  int next_id_ = 0;
+  int budget_ = 1'500;
+  Simulation::SamplerHandle sampler_;
+};
+
+// Drives the reference and the lane through the same rounds: step_one or
+// run_until to a horizon on a scheduled instant or between two, then
+// maybe an action from outside.  A timer firing is one step on either
+// side, so the two stay in lockstep; everything observable must agree.
+// Adds up the timer firings and, of those, the ones that shared their
+// instant with the entry logged before or after them.
+void run_timer_differential(std::uint64_t seed, int& fires, int& ties) {
+  TimerScenario ref(seed, /*lane=*/false);
+  TimerScenario lane(seed, /*lane=*/true);
+  Rng pacer(seed + 7000);
+  for (int i = 0; i < 8; ++i) {
+    ref.poke();
+    lane.poke();
+  }
+  for (int round = 0; round < 400; ++round) {
+    // Both sides record the same instants, so either can pick.
+    const TimePoint horizon = lane.horizon(pacer);
+    if (pacer.bernoulli(0.5)) {
+      EXPECT_EQ(ref.sim().run_until(horizon), lane.sim().run_until(horizon));
+    } else {
+      for (auto n = pacer.uniform_int(1, 6); n > 0; --n) {
+        const bool stepped = lane.sim().step_one(horizon);
+        ASSERT_EQ(ref.sim().step_one(horizon), stepped);
+        if (!stepped) break;
+      }
+    }
+    ASSERT_EQ(ref.log(), lane.log()) << "seed " << seed << " round " << round;
+    ASSERT_EQ(ref.sim().executed_events(), lane.sim().executed_events());
+    ASSERT_EQ(ref.sim().now(), lane.sim().now());
+    ASSERT_EQ(ref.sim().next_event_time(), lane.sim().next_event_time());
+    if (pacer.bernoulli(0.4)) {
+      ref.poke();
+      lane.poke();
+    }
+  }
+  const auto& log = lane.log();
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log[i].id < TimerScenario::kTimerIdBase) continue;
+    ++fires;
+    if ((i > 0 && log[i - 1].at_ms == log[i].at_ms) ||
+        (i + 1 < log.size() && log[i + 1].at_ms == log[i].at_ms)) {
+      ++ties;
+    }
+  }
+}
+
+TEST(TimerLaneTest, MatchesCancelAndRescheduleReference) {
+  int fires = 0;
+  int ties = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    run_timer_differential(seed, fires, ties);
+  }
+  // Not vacuous: timers fired thousands of times, most of them tied
+  // with something else at the same instant.
+  EXPECT_GT(fires, 5'000);
+  EXPECT_GT(ties, 2'500);
+}
+
+TEST(TimerLaneTest, FiringDisarmsCountsAndMayReArm) {
+  Simulation sim;
+  struct Ctx {
+    Simulation* sim;
+    Simulation::Timer timer;
+    std::vector<double> fired;
+  } ctx{&sim, {}, {}};
+  ctx.timer = sim.add_timer(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        // Disarmed by the firing: nothing is left to run.
+        EXPECT_EQ(c->sim->next_event_time().to_ms(),
+                  std::numeric_limits<double>::infinity());
+        c->fired.push_back(c->sim->now().to_ms());
+        if (c->fired.size() < 3) c->timer.arm(c->sim->now() + Duration::ms(2));
+      },
+      &ctx);
+  ctx.timer.arm(TimePoint::at_ms(5));
+  ctx.timer.arm(TimePoint::at_ms(1));  // replaces the pending instant
+  EXPECT_EQ(sim.queued_events(), 0u);  // the lane is not in the queue
+  EXPECT_EQ(sim.next_event_time(), TimePoint::at_ms(1));
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(ctx.fired, (std::vector<double>{1, 3, 5}));
+  EXPECT_EQ(sim.executed_events(), 3u);
+}
+
+TEST(TimerLaneTest, TiesFollowArmingOrder) {
+  // Same instant: whatever was armed or scheduled first runs first, and
+  // re-arming moves a timer behind everything scheduled before it.
+  Simulation sim;
+  std::vector<int> order;
+  auto push = [](void* p) { static_cast<std::vector<int>*>(p)->push_back(1); };
+  auto timer = sim.add_timer(push, &order);
+  timer.arm(TimePoint::at_ms(4));
+  sim.schedule_at(TimePoint::at_ms(4), [&] { order.push_back(2); });
+  sim.run();
+  timer.arm(TimePoint::at_ms(8));
+  sim.schedule_at(TimePoint::at_ms(8), [&] { order.push_back(2); });
+  timer.arm(TimePoint::at_ms(8));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 2, 1}));
+}
+
+TEST(TimerLaneTest, ArmInThePastIsRejected) {
+  Simulation sim;
+  auto timer = sim.add_timer([](void*) {}, nullptr);
+  sim.run_until(TimePoint::at_ms(10));
+  EXPECT_THROW(timer.arm(TimePoint::at_ms(5)), ContractViolation);
+  EXPECT_EQ(sim.next_event_time().to_ms(),
+            std::numeric_limits<double>::infinity());
+  Simulation::Timer unregistered;
+  EXPECT_THROW(unregistered.arm(TimePoint::at_ms(20)), ContractViolation);
+}
+
+TEST(TimerLaneTest, DisarmIsIdempotent) {
+  Simulation sim;
+  int fired = 0;
+  auto timer = sim.add_timer([](void* p) { ++*static_cast<int*>(p); }, &fired);
+  timer.disarm();  // never armed
+  timer.arm(TimePoint::at_ms(3));
+  timer.disarm();
+  timer.disarm();
+  EXPECT_EQ(sim.next_event_time().to_ms(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.run_until(TimePoint::at_ms(10)), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(TimerLaneTest, HandleDestroyedBeforeSimulation) {
+  Simulation sim;
+  int fired = 0;
+  auto count = [](void* p) { ++*static_cast<int*>(p); };
+  {
+    auto timer = sim.add_timer(count, &fired);
+    timer.arm(TimePoint::at_ms(1));
+    Simulation::Timer moved = std::move(timer);
+    timer.reset();  // moved from: inert
+    EXPECT_EQ(sim.next_event_time(), TimePoint::at_ms(1));
+  }
+  EXPECT_EQ(sim.run(), 0u);
+  // The freed registration is reused, and move-assigning over a live
+  // handle unregisters what it held.
+  auto a = sim.add_timer(count, &fired);
+  auto b = sim.add_timer(count, &fired);
+  a.arm(TimePoint::at_ms(2));
+  b.arm(TimePoint::at_ms(3));
+  a = std::move(b);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), TimePoint::at_ms(3));
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerLaneTest, SimulationDestroyedBeforeHandle) {
+  Simulation::Timer timer;
+  {
+    auto sim = std::make_unique<Simulation>();
+    timer = sim->add_timer([](void*) {}, nullptr);
+    timer.arm(TimePoint::at_ms(1));
+  }
+  timer.disarm();  // the Simulation is gone: no-ops, not dangling calls
+  timer.reset();
+  timer.reset();
+}
+
+TEST(TimerLaneTest, CallbackMayAddTimers) {
+  // Registering timers from inside a firing grows the table under the
+  // call in progress; the call must not read its slot again.
+  Simulation sim;
+  struct Ctx {
+    Simulation* sim;
+    std::vector<Simulation::Timer> added;
+    int fired = 0;
+  } ctx{&sim, {}, 0};
+  auto timer = sim.add_timer(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        for (int i = 0; i < 64; ++i) {
+          c->added.push_back(c->sim->add_timer([](void*) {}, nullptr));
+        }
+        ++c->fired;
+      },
+      &ctx);
+  timer.arm(TimePoint::at_ms(1));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(ctx.fired, 1);
+  EXPECT_EQ(ctx.added.size(), 64u);
+}
+
+TEST(TimerLaneTest, SamplerCollapsesUpToTheNextTimer) {
+  Simulation sim;
+  std::vector<std::pair<double, std::uint64_t>> calls;
+  auto handle = sim.start_sampler(Duration::ms(1), [&](std::uint64_t n) {
+    calls.emplace_back(sim.now().to_ms(), n);
+  });
+  auto timer = sim.add_timer([](void*) {}, nullptr);
+  timer.arm(TimePoint::at_ms(4));  // keyed before the tick at 4 will be
+  sim.schedule_at(TimePoint::at_ms(9.5), [] {});
+  const TimePoint never = TimePoint::at_ms(1e9);
+  ASSERT_TRUE(sim.step_one(never));  // ticks 1..3: 4 is the timer's
+  ASSERT_TRUE(sim.step_one(never));  // the timer at 4
+  EXPECT_EQ(sim.now(), TimePoint::at_ms(4));
+  ASSERT_TRUE(sim.step_one(never));  // ticks 4..9
+  EXPECT_EQ(calls, (std::vector<std::pair<double, std::uint64_t>>{{3, 3},
+                                                                  {9, 6}}));
+  EXPECT_EQ(sim.executed_events(), 10u);
+}
+
+TEST(TimerLaneTest, SamplerThatArmsATimerIsRejected) {
+  Simulation sim;
+  auto timer = sim.add_timer([](void*) {}, nullptr);
+  auto handle = sim.start_sampler(Duration::ms(1), [&](std::uint64_t) {
+    timer.arm(sim.now() + Duration::ms(1));
+  });
+  EXPECT_THROW(sim.run_until(TimePoint::at_ms(5)), ContractViolation);
+}
+
 // --- Processor sharing ------------------------------------------------
 
 TEST(PsResourceTest, SingleJobRunsAtFullRate) {
@@ -667,6 +1032,33 @@ TEST(PsResourceTest, RemainingDemandTracksService) {
     EXPECT_NEAR(cpu.remaining_demand(id), 60.0, 1e-9);
   });
   sim.run();
+}
+
+TEST(PsResourceTest, DestroyedWithJobInFlightNeverFires) {
+  Simulation sim;
+  bool fired = false;
+  {
+    PsResource cpu(sim, {"cpu", 1.0, 1.0});
+    cpu.submit(10.0, [&] { fired = true; });
+    EXPECT_EQ(sim.next_event_time(), TimePoint::at_ms(10));
+  }
+  // Its completion timer went with it: nothing is left to call into the
+  // destroyed resource.
+  EXPECT_EQ(sim.next_event_time().to_ms(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(fired);
+}
+
+TEST(PsResourceTest, CompletionsAreTimersNotHeapEvents) {
+  Simulation sim;
+  PsResource cpu(sim, {"cpu", 2.0, 1.0});
+  int done = 0;
+  for (int i = 0; i < 5; ++i) cpu.submit(10.0 + i, [&] { ++done; });
+  EXPECT_EQ(sim.queued_events(), 0u);
+  // One firing per distinct completion instant, counted like events.
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(done, 5);
 }
 
 TEST(PsResourceTest, PerJobCapLimitsLinkHogging) {
