@@ -15,14 +15,19 @@
 // the exactly-once completion contract.  A fourth section repeats the
 // comparison against a gray-failure storm (slowed cells, lossy and
 // corrupting links, flaky reconfiguration ports), gating conservation
-// and the retry-overhead ratio of the reliability layer.  Results land
-// in BENCH_cluster.json (schema: docs/perf.md).
+// and the retry-overhead ratio of the reliability layer.  A fifth runs
+// a fault-free churn cluster with no handoffs, where the send promise
+// lets the engine skip nearly every window boundary, serial against
+// parallel on the identical trace.  Results land in BENCH_cluster.json
+// (schema: docs/perf.md).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
@@ -117,6 +122,7 @@ ConfigResult run_cluster(std::size_t cells, std::uint64_t total_jobs,
                                  runtime::ThresholdTable{}, spec);
   cluster.set_background_load(total_jobs, churn_options());
   std::vector<HandoffPump> pumps(cells > 1 ? cells : 0);
+  if (!pumps.empty()) cluster.open_handoffs();
   for (std::size_t c = 0; c < pumps.size(); ++c) {
     pumps[c] = HandoffPump{&cluster, c};
     HandoffPump* pump = &pumps[c];
@@ -200,6 +206,7 @@ SkewResult run_skew_config(bool adaptive, bool steal,
   // 25 ms, so adaptation has long quiet stretches to coarsen through
   // and periodic posts to snap back on.
   HandoffPump pump{&cluster, 0, Duration::ms(25.0)};
+  cluster.open_handoffs();
   cluster.cell(0).simulation().schedule_in(Duration::ms(25.0),
                                            [&pump] { pump.fire(); });
   sim::ShardedSimulation& engine = cluster.engine().engine();
@@ -347,6 +354,54 @@ FaultConfigResult run_fault_config(const runtime::ThresholdTable& table,
   r.events = cluster.engine().engine().executed_events() - before;
   r.stats = cluster.job_stats();
   if (traced) r.spans = cluster.tracer()->span_count();
+  return r;
+}
+
+struct PromiseResult {
+  double wall_seconds = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::vector<double> completions;
+};
+
+/// One run of the send-promise section: four slot-mode Xar-Trek cells,
+/// 60 churn processes per cell (2 ms +-50% loops) and one tracked job
+/// per cell every 2 simulated seconds, no faults and no handoffs.  No
+/// cell can post to another, so each run_for step should take about
+/// one window instead of one per 120 us ring latency.
+PromiseResult run_promise_config(const runtime::ThresholdTable& table,
+                                 bool parallel,
+                                 std::uint32_t jobs_per_cell) {
+  constexpr std::size_t kCells = 4;
+  exp::ClusterSpec spec;
+  spec.cells = kCells;
+  spec.cell_config.fpga_slots = fpga::SlotConfig{};
+  spec.parallel = parallel;
+  spec.exec.workers = std::min<std::size_t>(
+      kCells, std::max(1u, std::thread::hardware_concurrency()));
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), table, spec,
+                                 options);
+  apps::ShardedLoadGenerator::Options churn;
+  churn.run_demand = Duration::ms(2.0);
+  churn.demand_jitter = 0.5;
+  cluster.set_background_load(kCells * 60, churn);
+  const auto& specs = cluster.cell(0).specs();
+  sim::ShardedSimulation& engine = cluster.engine().engine();
+  const auto start = Clock::now();
+  for (std::uint32_t k = 0; k < jobs_per_cell; ++k) {
+    cluster.run_for(Duration::seconds(2.0));
+    for (std::size_t c = 0; c < kCells; ++c) {
+      cluster.submit(c, specs[(k + c) % specs.size()].name);
+    }
+  }
+  cluster.run_until_jobs_complete(Duration::minutes(30));
+  PromiseResult r;
+  r.wall_seconds = seconds_since(start);
+  r.events = engine.executed_events();
+  r.windows = engine.windows();
+  r.completions = cluster.job_completion_times_ms();
   return r;
 }
 
@@ -533,6 +588,30 @@ int bench_main() {
                "tracer off vs on, plus the zero-alloc contract...\n";
   const auto obs = run_obs_section(fault_table);
   const int obs_budget_met = obs.overhead_ratio <= 1.05 ? 1 : 0;
+
+  const std::uint32_t kPromiseJobsPerCell = smoke ? 3 : 10;
+  std::cerr << "[cluster_bench] send promise: a quiet churn cluster, "
+               "serial vs parallel, best of 3...\n";
+  // Alternate the arms so a noisy stretch of the host hits both; every
+  // run must replay the first serial run's trace exactly.
+  const PromiseResult promise_ref =
+      run_promise_config(fault_table, false, kPromiseJobsPerCell);
+  double promise_serial = promise_ref.wall_seconds;
+  double promise_parallel = 0.0;
+  bool promise_identical = promise_ref.completions.size() ==
+                           4u * kPromiseJobsPerCell;
+  for (int i = 0; i < 5; ++i) {
+    const bool parallel = i % 2 == 0;  // with the reference: 3 + 3 runs
+    const PromiseResult r =
+        run_promise_config(fault_table, parallel, kPromiseJobsPerCell);
+    promise_identical = promise_identical && r.events == promise_ref.events &&
+                        r.windows == promise_ref.windows &&
+                        r.completions == promise_ref.completions;
+    double& best = parallel ? promise_parallel : promise_serial;
+    if (best == 0.0 || r.wall_seconds < best) best = r.wall_seconds;
+  }
+  const double promise_ratio = promise_serial / promise_parallel;
+
   const double sweep_rate =
       2.0 * static_cast<double>(sweep.jobs) /
       (sweep.attach_seconds + sweep.detach_seconds);
@@ -640,6 +719,14 @@ int bench_main() {
       << "    \"alloc_calls_per_event\": " << obs.alloc_calls_per_event
       << ",\n"
       << "    \"alloc_bytes_per_event\": " << obs.alloc_bytes_per_event
+      << "\n  },\n  \"promise\": {\n"
+      << "    \"cells\": 4,\n"
+      << "    \"jobs\": " << promise_ref.completions.size() << ",\n"
+      << "    \"events\": " << promise_ref.events << ",\n"
+      << "    \"windows\": " << promise_ref.windows << ",\n"
+      << "    \"serial_wall_seconds\": " << promise_serial << ",\n"
+      << "    \"parallel_wall_seconds\": " << promise_parallel << ",\n"
+      << "    \"parallel_vs_serial_wall\": " << promise_ratio
       << "\n  }\n}\n";
   out.close();
 
@@ -669,7 +756,17 @@ int bench_main() {
             << "x wall with tracing on (" << obs.spans << " spans, "
             << "events identical=" << obs.events_identical
             << ", alloc/event=" << obs.alloc_calls_per_event << ")\n"
+            << "[cluster_bench] send promise: " << promise_ref.windows
+            << " windows for " << promise_ref.events
+            << " events, parallel " << promise_ratio
+            << "x serial wall, identical=" << promise_identical << "\n"
             << "[cluster_bench] wrote BENCH_cluster.json\n";
+  if (!promise_identical) {
+    std::cerr << "[cluster_bench] FAIL: the send-promise runs did not "
+                 "replay one trace (events, windows or completion "
+                 "times differ)\n";
+    return 1;
+  }
   return 0;
 }
 

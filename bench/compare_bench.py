@@ -113,6 +113,13 @@ METRICS = {
         ("obs.trace_nonempty", "exact", False),
         ("obs.alloc_calls_per_event", "abs", False),
         ("obs.alloc_bytes_per_event", "abs", False),
+        # Send promise: a fault-free churn cluster with no handoffs,
+        # where no cell can post.  Its window count is deterministic
+        # (exact: per-epoch windows coming back fail it), and the
+        # best-of-3 parallel-vs-serial wall ratio compares two engines
+        # replaying the identical trace in the same run.
+        ("promise.windows", "exact", False),
+        ("promise.parallel_vs_serial_wall", "higher", False),
         ("cluster.single_queue.wall_events_per_sec", "higher", True),
         ("attach_detach.jobs_per_sec", "higher", True),
     ],

@@ -369,6 +369,7 @@ int main() {
       }
     };
     std::vector<HandoffPump> pumps(kCells);
+    cluster.open_handoffs();
     for (std::size_t c = 0; c < kCells; ++c) {
       pumps[c] = HandoffPump{&cluster, c, 200};
       HandoffPump* pump = &pumps[c];

@@ -119,6 +119,9 @@ ClusterExperiment::ClusterExperiment(
         popcorn::drain_metadata());
   }
 
+  // No cell posts to another before the promise; see send_promise.
+  engine_->engine().set_send_promise(&ClusterExperiment::send_promise, this);
+
   // Observability: registration allocates everything up front (pooled
   // counters, histogram lanes), so snapshots later never touch the hot
   // path.  Registration order is fixed by construction order, which is
@@ -176,12 +179,36 @@ void ClusterExperiment::handoff(std::size_t from, std::uint64_t bytes,
                                 sim::UniqueCallback on_arrival) {
   XAR_EXPECTS(cells_.size() > 1);
   XAR_EXPECTS(from < cells_.size());
+  // Undeclared, this transfer's arrival could break the send promise
+  // the current window was sized from.
+  XAR_EXPECTS(handoffs_open_);
   handoffs_.fetch_add(1, std::memory_order_relaxed);
   intercell_[from]->transfer(
       bytes, [ring = &ring_arrivals_[from],
               cb = std::move(on_arrival)]() mutable {
         ring->deliver(std::move(cb));
       });
+}
+
+TimePoint ClusterExperiment::send_promise(void* ctx) noexcept {
+  const auto& self = *static_cast<const ClusterExperiment*>(ctx);
+  // Every cross-cell post is a ring arrival, and every ring arrival
+  // follows a ring-link transfer, which only a handoff or a drain
+  // starts; a drain needs a dead cell.  While any of those may be under
+  // way, a cell may post at any moment: promise nothing beyond now.
+  const TimePoint now = self.now();
+  if (self.handoffs_open_) return now;
+  for (const std::uint8_t dead : self.cell_dead_) {
+    if (dead != 0) return now;
+  }
+  for (const auto& link : self.intercell_) {
+    if (link->in_flight() != 0 || link->parked() != 0) return now;
+  }
+  for (const auto& channel : self.drain_channels_) {
+    if (channel->in_flight() != 0) return now;
+  }
+  // Otherwise the first drain starts no earlier than the first kill.
+  return self.first_kill_;
 }
 
 std::size_t ClusterExperiment::completed_apps() const {
@@ -235,6 +262,7 @@ void ClusterExperiment::apply_fault_plan(const sim::FaultPlan& plan) {
         // Drained jobs need a surviving ring neighbor to land on.
         XAR_EXPECTS(n > 1 && victim < n);
         shard.schedule_at(ev.at, [this, victim] { kill_cell_impl(victim); });
+        first_kill_ = std::min(first_kill_, ev.at);
         break;
       case sim::FaultEvent::Kind::kLinkDown:
       case sim::FaultEvent::Kind::kLinkUp: {
@@ -321,6 +349,7 @@ void ClusterExperiment::kill_cell(std::size_t i) {
   // FaultPlan event produce the same trace.
   engine_->sim_of(x86_nodes_[i]).schedule_at(
       now(), [this, i] { kill_cell_impl(i); });
+  first_kill_ = std::min(first_kill_, now());
 }
 
 void ClusterExperiment::set_link_down(std::size_t i, bool down) {

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -121,11 +122,19 @@ class ClusterExperiment {
     return load_.get();
   }
 
+  /// Declare handoff traffic: call between runs, like submit(), before
+  /// any callback may call handoff().  A handoff can start mid-window
+  /// from any callback, so the engine cannot see one coming; an open
+  /// cluster therefore synchronizes in ring-latency windows throughout,
+  /// as if any cell could post at any moment.  Stays open for the
+  /// cluster's lifetime.
+  void open_handoffs() { handoffs_open_ = true; }
+
   /// Hand a job off from cell `from` to its ring neighbor: `bytes` of
   /// state ride the inter-cell link (sharing it with any checkpoint
   /// drains), and `on_arrival` fires on the neighbor's shard once the
   /// last byte lands (plus the registered edge latency).  Requires a
-  /// multi-cell cluster.
+  /// multi-cell cluster and open_handoffs().
   void handoff(std::size_t from, std::uint64_t bytes,
                sim::UniqueCallback on_arrival);
   [[nodiscard]] std::size_t handoff_target(std::size_t from) const {
@@ -281,6 +290,11 @@ class ClusterExperiment {
   void land_job(std::size_t dst, popcorn::ThreadStack stack);
   void kill_cell_impl(std::size_t c);
 
+  /// The engine's send promise (sim::ShardedSimulation::SendPromiseFn):
+  /// the earliest time a cell may post to its ring neighbor.  Runs at
+  /// window boundaries, single-threaded.
+  static TimePoint send_promise(void* ctx) noexcept;
+
  private:
   ClusterSpec cluster_;
   /// Per-cell topology nodes (index = cell).
@@ -296,6 +310,9 @@ class ClusterExperiment {
   /// Atomic: in parallel mode every cell's shard thread may hand off
   /// concurrently.
   std::atomic<std::uint64_t> handoffs_{0};
+  /// Set by open_handoffs() between runs; read by handoff() and the
+  /// send promise.
+  bool handoffs_open_ = false;
 
   // Fault-injection state (see the ownership discipline above).
   /// Tracked jobs by id.  The vector grows only between runs (submit);
@@ -309,6 +326,11 @@ class ClusterExperiment {
   /// a mismatch marks a ghost completion from before the kill.
   std::vector<std::uint8_t> cell_dead_;
   std::vector<std::uint64_t> cell_epoch_;
+  /// Earliest kill ever scheduled (apply_fault_plan, kill_cell), +inf
+  /// if none; written between runs.  A kill marks its cell dead for
+  /// good, so while no cell is dead this kill is still pending.
+  TimePoint first_kill_ = TimePoint::at_ms(
+      std::numeric_limits<double>::infinity());
   /// Drain path, one per cell (multi-cell only): a ReliableChannel
   /// restoring exactly-once delivery over ring link i.  The link's
   /// completions fire on the *sender's* shard, which is what lets the

@@ -54,10 +54,7 @@ void Link::transfer(std::uint64_t bytes, Callback on_complete) {
   // sampling here (latency-phase entries plus bandwidth-phase jobs)
   // captures the true peak without wrapping every completion.
   ++stats_.transfers;
-  const std::size_t in_flight_now = in_latency_.size() + pool_.active_jobs();
-  if (in_flight_now > stats_.max_in_flight) {
-    stats_.max_in_flight = in_flight_now;
-  }
+  if (in_flight() > stats_.max_in_flight) stats_.max_in_flight = in_flight();
   const double factor = degraded_ ? latency_factor_ : 1.0;
   double exit_ms = sim_.now().to_ms() + spec_.latency.to_ms() * factor;
   // A link is a FIFO pipe: a frame admitted under inflated latency must

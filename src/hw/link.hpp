@@ -119,8 +119,11 @@ class Link {
   /// Admissions currently parked behind a partition.
   [[nodiscard]] std::size_t parked() const { return parked_.size(); }
 
-  /// Transfers currently in flight.
-  [[nodiscard]] std::size_t in_flight() const { return pool_.active_jobs(); }
+  /// Transfers currently in flight: in their latency phase or sharing
+  /// the bandwidth (parked admissions are counted by parked()).
+  [[nodiscard]] std::size_t in_flight() const {
+    return in_latency_.size() + pool_.active_jobs();
+  }
 
   /// Total bytes delivered (tests).
   [[nodiscard]] double delivered_mb() const { return pool_.delivered_work(); }

@@ -145,10 +145,13 @@ void ShardedSimulation::post(ShardId src, ShardId dst, TimePoint t,
     return;
   }
   // Lookahead contract: the receiver is executing the same window, so
-  // the message must land at or past its end.  Channel latencies are
-  // checked against max_epoch(), so this holds at every window length
-  // the adaptation can pick.  (A tiny epsilon absorbs the rounding
-  // slack of `now + latency` vs `min_next + epoch`.)
+  // the message must land at or past its end.  The window ends one
+  // epoch past the later of the next event and the send promise, no
+  // post comes before either, and channel latencies are checked
+  // against max_epoch(), so this holds at every window length the
+  // engine can pick -- unless the model broke its promise, which fails
+  // here.  (A tiny epsilon absorbs the rounding slack of
+  // `now + latency` vs `start + epoch`.)
   XAR_EXPECTS(t.to_ms() >= window_end_ms_ - 1e-9);
   ++s.stats.posts;
   CrossShardEvent ev{t.to_ms(), std::move(cb)};
@@ -242,17 +245,12 @@ std::uint64_t ShardedSimulation::run_shard(ShardId id, TimePoint window_end) {
   return delta;
 }
 
-double ShardedSimulation::min_next_ms() {
+double ShardedSimulation::min_next_ms(bool& spilled) {
   double min_next = kInf;
-  bool spill_left = false;
+  spilled = false;
   for (auto& s : shards_) {
     min_next = std::min(min_next, s->sim.next_event_time().to_ms());
-    spill_left = spill_left || s->spilled != 0;
-  }
-  if (spill_left) {
-    // Spilled messages must reach the next boundary as soon as
-    // possible: bound the window to one epoch from the current time.
-    min_next = std::min(min_next, shards_[0]->sim.now().to_ms());
+    spilled = spilled || s->spilled != 0;
   }
   return min_next;
 }
@@ -333,9 +331,22 @@ void ShardedSimulation::maybe_rebalance() {
 bool ShardedSimulation::plan_next_window(double horizon_ms) {
   if (opts_.exec.adaptive) adapt_epoch();
   if (opts_.exec.steal && workers_ < shards_.size()) maybe_rebalance();
-  const double min_next = min_next_ms();
-  if (min_next == kInf || min_next > horizon_ms) return false;
-  window_end_ms_ = std::min(min_next + cur_epoch_ms_, horizon_ms);
+  bool spilled = false;
+  double next = min_next_ms(spilled);
+  if (spilled) {
+    // Spilled messages must reach the next boundary as soon as
+    // possible: bound the window to one epoch from the current time.
+    next = std::min(next, shards_[0]->sim.now().to_ms());
+  }
+  if (next == kInf || next > horizon_ms) return false;
+  // Nobody posts before the promise, so nothing another shard could
+  // receive lands before promise + epoch.  A bounded span only: under
+  // run() an infinite promise would drive every clock to infinity.
+  double start = next;
+  if (promise_fn_ != nullptr && !spilled && horizon_ms < kInf) {
+    start = std::max(next, promise_fn_(promise_ctx_).to_ms());
+  }
+  window_end_ms_ = std::min(start + cur_epoch_ms_, horizon_ms);
   ++windows_;
   return true;
 }

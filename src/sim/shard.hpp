@@ -10,13 +10,23 @@
 // (sim/mailbox.hpp) that are drained at window boundaries.
 //
 // Correctness rests on the classic conservative-PDES lookahead
-// contract: every cross-shard interaction models a latency of at least
-// one window, so an event executed inside window W can only create
-// work for other shards at or after the end of W -- by the time the
-// message is drained, its timestamp is still in the receiver's future.
-// The window end is `min(next event anywhere) + epoch`, which both
-// bounds the work a window can discover and fast-forwards over
-// globally idle stretches in one step.
+// contract, in its earliest-output-time form: a *send promise* P is a
+// time before which no shard will post to another, and every
+// cross-shard interaction models a latency of at least one window.  A
+// post made at or after P therefore lands at or after P + epoch, so a
+// window ending there can only create work for other shards at or
+// after its end -- by the time the message is drained, its timestamp
+// is still in the receiver's future.  The window end is
+//
+//     min(max(next event anywhere, P) + epoch, horizon)
+//
+// which bounds the work a window can discover, fast-forwards over
+// globally idle stretches in one step, and -- when the model promises
+// that no shard can post for a while -- runs every shard that far
+// without a boundary.  The model supplies P through one provider
+// (set_send_promise); without one, P is the next event, which is the
+// plain "next event + epoch" window.  A post that breaks the promise
+// fails post()'s contract check instead of corrupting the trace.
 //
 // Shards vs workers.  A *shard* is the unit of model state (one
 // Simulation, one mailbox row/column); a *worker* is an execution lane
@@ -198,9 +208,28 @@ class ShardedSimulation {
   /// Post `cb` to run on shard `dst` at absolute time `t`.  Must be
   /// called from shard `src` (its worker's thread, when parallel).
   /// Requires `t` to be at or past the current window's end --
-  /// guaranteed when the modeled latency is >= max_epoch(); see
-  /// CrossShardChannel.
+  /// guaranteed when the modeled latency is >= max_epoch() and the
+  /// post happens no earlier than the send promise the window was
+  /// sized from; see CrossShardChannel and set_send_promise.
   void post(ShardId src, ShardId dst, TimePoint t, UniqueCallback cb);
+
+  /// The earliest time any shard may post to another, as far as the
+  /// model can tell at a boundary; +inf when no shard can post at all.
+  /// Evaluated single-threaded at every boundary of a run_until span
+  /// (the serial loop, or the drain barrier's completion while every
+  /// worker is parked), so it may read any shard's state -- but it
+  /// must neither throw nor allocate.
+  using SendPromiseFn = TimePoint (*)(void* ctx) noexcept;
+
+  /// Install the model's send promise (nullptr removes it).  Call
+  /// between runs.  A promise at or before the next event changes
+  /// nothing; a later one stretches the window to promise + epoch
+  /// (capped at the horizon).  run() ignores it: an unbounded span
+  /// keeps next-event windows, so no clock ever jumps to infinity.
+  void set_send_promise(SendPromiseFn fn, void* ctx) {
+    promise_fn_ = fn;
+    promise_ctx_ = ctx;
+  }
 
   /// Run until every shard is idle and every mailbox is empty.
   /// Returns events executed.  Clocks end at the final window boundary.
@@ -280,16 +309,17 @@ class ShardedSimulation {
   /// no clock: the caller owns busy-time accounting (per span when
   /// serial or 1:1 parallel, per window when per_cell_cpu_).
   std::uint64_t run_shard(ShardId id, TimePoint window_end);
-  /// Earliest pending work anywhere (events, spilled messages), or
-  /// +inf.  Call only at a boundary (mailboxes already drained).
-  [[nodiscard]] double min_next_ms();
+  /// Earliest pending event anywhere, or +inf; `spilled` reports
+  /// whether any message still waits in a spill FIFO.  Call only at a
+  /// boundary (mailboxes already drained).
+  [[nodiscard]] double min_next_ms(bool& spilled);
 
   /// The boundary step, identical in serial and parallel mode: adapt
   /// the epoch from the per-window post counters, re-evaluate the
-  /// shard->worker map, then size the next window.  Returns false when
-  /// no work remains at or before `horizon_ms`.  Runs single-threaded
-  /// (serial loop, or the drain barrier's completion while every
-  /// worker is parked).
+  /// shard->worker map, then size the next window from the next event
+  /// and the send promise.  Returns false when no work remains at or
+  /// before `horizon_ms`.  Runs single-threaded (serial loop, or the
+  /// drain barrier's completion while every worker is parked).
   bool plan_next_window(double horizon_ms);
   void adapt_epoch();
   void maybe_rebalance();
@@ -339,6 +369,10 @@ class ShardedSimulation {
   /// proportional busy-time split (sized once, so spans never allocate).
   std::vector<std::uint64_t> span_executed_;
 
+  /// The model's send promise (set_send_promise); null = next event.
+  SendPromiseFn promise_fn_ = nullptr;
+  void* promise_ctx_ = nullptr;
+
   /// End of the window currently executing (what `post` checks the
   /// lookahead contract against).  Written at boundaries only.
   double window_end_ms_ = 0.0;
@@ -356,8 +390,10 @@ class ShardedSimulation {
 /// adaptive ceiling when the engine coarsens windows -- so the
 /// lookahead contract holds at every window length the engine may
 /// pick; delivery timing is then identical for every shard count.
-/// Channels name shards, not workers: a rebalance move never
-/// invalidates one.
+/// The latency covers the epoch half of the contract only: when the
+/// engine has a send promise, the model must also not deliver before
+/// the promised time (ShardedSimulation::set_send_promise).  Channels
+/// name shards, not workers: a rebalance move never invalidates one.
 class CrossShardChannel {
  public:
   CrossShardChannel() = default;

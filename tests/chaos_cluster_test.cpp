@@ -7,9 +7,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "apps/benchmark_spec.hpp"
+#include "apps/load_generator.hpp"
 #include "common/rng.hpp"
 #include "exp/cluster.hpp"
 #include "exp/threshold_estimator.hpp"
@@ -180,6 +182,24 @@ TEST(ChaosClusterTest, DeadCellBackoffRetriesOntoRingNeighbor) {
   EXPECT_EQ(stats.drained, 0u);  // it was never running on the corpse
 }
 
+TEST(ChaosClusterTest, ImmediateKillBoundsTheNextWindow) {
+  // kill_cell() between runs, with a job running on the victim: the
+  // next step must still end its first window one epoch past the kill,
+  // or the drain's arrival would land inside a window already running.
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec, options);
+  cluster.submit(1, "facedet320");
+  cluster.run_for(Duration::ms(50.0));
+  cluster.kill_cell(1);
+  ASSERT_TRUE(cluster.run_until_jobs_complete());
+  EXPECT_EQ(cluster.job_stats().drained, 1u);
+  EXPECT_EQ(cluster.completed_jobs(), 1u);
+}
+
 TEST(ChaosClusterTest, KillWithPartitionedDrainPathStillConservesJobs) {
   const auto specs = apps::paper_benchmarks();
   exp::ClusterSpec spec;
@@ -218,6 +238,7 @@ double drained_job_completion_ms(bool with_handoffs) {
   exp::ClusterExperiment cluster(specs, shared_table(), spec, options);
   cluster.submit(0, "facedet320");
   if (with_handoffs) {
+    cluster.open_handoffs();
     cluster.cell(0).simulation().schedule_at(TimePoint::at_ms(40.0), [&] {
       for (int k = 0; k < 8; ++k) {
         cluster.handoff(0, std::uint64_t{16} << 20, [] {});
@@ -314,6 +335,59 @@ TEST(ChaosClusterTest, EmptyFaultPlanIsBitIdenticalNoOp) {
   ASSERT_EQ(baseline.size(), with_empty_plan.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
     EXPECT_DOUBLE_EQ(baseline[i], with_empty_plan[i]) << "job " << i;
+  }
+}
+
+/// long_window_kill's completion instants, recorded with the engine
+/// that ended every window one epoch past the next event.
+constexpr double kLongWindowKillGolden[] = {
+    0x1.526fc962fc952p+10, 0x1.526fc962fc952p+10, 0x1.78b8d264a6921p+10,
+    0x1.4dafc962fc906p+10, 0x1.42efc962fc964p+10, 0x1.42efc962fc964p+10,
+    0x1.9e36ca14d243p+10,  0x1.51d65cdacb6f5p+10};
+
+/// A fault-free 4-cell cluster with a churn cohort runs each step in
+/// one long window.  Here cell 2 dies 10 ms into the second round of
+/// tracked jobs, inside such a window: the kill must still drain both
+/// of its running jobs, and every job must complete when it did before
+/// windows grew.
+std::vector<double> long_window_kill(bool parallel,
+                                     std::uint64_t* drained) {
+  exp::ClusterSpec spec;
+  spec.cells = 4;
+  spec.parallel = parallel;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec, options);
+  apps::ShardedLoadGenerator::Options churn;
+  churn.run_demand = Duration::ms(2.0);
+  churn.demand_jitter = 0.5;
+  cluster.set_background_load(4 * 8, churn);
+  sim::FaultPlan plan;
+  plan.add({sim::FaultEvent::Kind::kCellKill, TimePoint::at_ms(1010.0), 2});
+  cluster.apply_fault_plan(plan);
+  for (std::size_t c = 0; c < 4; ++c) cluster.submit(c, "digit500");
+  cluster.run_for(Duration::ms(1000.0));
+  // The pending kill is the promise, and it lies past this step.
+  EXPECT_EQ(cluster.engine().engine().windows(), 1u);
+  for (std::size_t c = 0; c < 4; ++c) cluster.submit(c, "facedet320");
+  EXPECT_TRUE(cluster.run_until_jobs_complete());
+  EXPECT_TRUE(cluster.cell_dead(2));
+  *drained = cluster.job_stats().drained;
+  return cluster.job_completion_times_ms();
+}
+
+TEST(ChaosClusterTest, KillInsideALongWindowMatchesGolden) {
+  std::uint64_t drained = 0;
+  const auto serial = long_window_kill(false, &drained);
+  EXPECT_EQ(drained, 2u);  // cell 2's digit500 and facedet320
+  const auto parallel = long_window_kill(true, &drained);
+  const std::vector<double> golden(std::begin(kLongWindowKillGolden),
+                                   std::end(kLongWindowKillGolden));
+  ASSERT_EQ(serial.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(serial[i], golden[i]) << "job " << i;
+    EXPECT_EQ(parallel[i], golden[i]) << "job " << i;
   }
 }
 

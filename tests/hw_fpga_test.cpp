@@ -75,6 +75,22 @@ TEST(LinkTest, ConcurrentTransfersShareBandwidth) {
   EXPECT_NEAR(done[1], 16.12, 1e-6);
 }
 
+TEST(LinkTest, InFlightCountsTheLatencyPhase) {
+  sim::Simulation sim;
+  hw::Link eth(sim, hw::ethernet_1gbps());
+  eth.transfer(1024 * 1024, [] {});
+  // Before its 0.12 ms latency elapses the transfer shares no
+  // bandwidth yet, but it has left the sender.
+  EXPECT_EQ(eth.in_flight(), 1u);
+  sim.run_until(TimePoint::at_ms(0.06));
+  EXPECT_EQ(eth.in_flight(), 1u);
+  sim.run_until(TimePoint::at_ms(1.0));  // bandwidth phase
+  EXPECT_EQ(eth.in_flight(), 1u);
+  sim.run();
+  EXPECT_EQ(eth.in_flight(), 0u);
+  EXPECT_EQ(eth.stats().max_in_flight, 1u);
+}
+
 TEST(LinkTest, PcieIsFasterThanEthernet) {
   sim::Simulation sim;
   hw::Link eth(sim, hw::ethernet_1gbps());

@@ -4,9 +4,12 @@
 // mailbox overflow backpressure.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -594,6 +597,133 @@ TEST(ShardedSimulationTest, MailboxHighWaterStatTracksInboundBursts) {
     max_hwm = std::max(max_hwm, ssim.stats(s).mailbox_hwm);
   }
   EXPECT_GT(max_hwm, 1u);
+}
+
+// --- send promises -----------------------------------------------------------
+
+/// A send promise read through the provider's context pointer.
+TimePoint fixed_promise(void* ctx) noexcept {
+  return *static_cast<const TimePoint*>(ctx);
+}
+
+struct LocalChain {
+  Simulation* sim;
+  std::vector<double>* trace;
+  double period_ms;
+  void fire() {
+    trace->push_back(sim->now().to_ms());
+    sim->schedule_in(Duration::ms(period_ms), [this] { fire(); });
+  }
+};
+
+struct PromiseRun {
+  std::vector<std::vector<double>> fires;  ///< per shard
+  double arrived_ms = -1.0;
+  std::uint64_t executed = 0;
+  std::uint64_t windows_to_31ms = 0;
+  std::uint64_t windows = 0;
+  std::size_t workers = 0;
+};
+
+/// Four shards on a 1 ms epoch, each running an endless local chain;
+/// at `post_at_ms` shard 0 sends one token to shard 1 over a 2 ms
+/// channel.  Runs to 31 ms, then to 60 ms.  `promise` (when set) is
+/// installed as the engine's send promise.
+PromiseRun run_promise(bool parallel, double post_at_ms,
+                       TimePoint* promise, std::size_t workers = 0) {
+  ShardedSimulation::Options opts;
+  opts.shards = 4;
+  opts.epoch = Duration::ms(1.0);
+  opts.parallel = parallel;
+  opts.exec.workers = workers;
+  ShardedSimulation ssim(opts);
+  if (promise != nullptr) ssim.set_send_promise(&fixed_promise, promise);
+  PromiseRun run;
+  run.workers = ssim.worker_count();
+  run.fires.resize(4);
+  std::vector<std::unique_ptr<LocalChain>> chains;
+  for (ShardId s = 0; s < 4; ++s) {
+    chains.push_back(std::make_unique<LocalChain>(
+        LocalChain{&ssim.shard(s), &run.fires[s], 0.37 + 0.11 * s}));
+    LocalChain* chain = chains.back().get();
+    chain->sim->schedule_in(Duration::ms(chain->period_ms),
+                            [chain] { chain->fire(); });
+  }
+  const CrossShardChannel to_1(ssim, 0, 1, Duration::ms(2.0));
+  ssim.shard(0).schedule_at(TimePoint::at_ms(post_at_ms), [&] {
+    to_1.deliver([&] { run.arrived_ms = ssim.shard(1).now().to_ms(); });
+  });
+  run.executed = ssim.run_until(TimePoint::at_ms(31.0));
+  run.windows_to_31ms = ssim.windows();
+  run.executed += ssim.run_until(TimePoint::at_ms(60.0));
+  run.windows = ssim.windows();
+  return run;
+}
+
+TEST(ShardedSimulationTest, SendPromiseStretchesOneWindowToPromisePlusEpoch) {
+  // Nobody posts before 30 ms, so the first window runs straight from
+  // 0 to 30 ms + epoch; afterwards the promise is in the past and the
+  // windows are next-event windows again.  The trace cannot tell.
+  TimePoint promise = TimePoint::at_ms(30.0);
+  const PromiseRun plain = run_promise(false, 30.0, nullptr);
+  const PromiseRun serial = run_promise(false, 30.0, &promise);
+  const PromiseRun parallel = run_promise(true, 30.0, &promise);
+  EXPECT_EQ(serial.windows_to_31ms, 1u);
+  EXPECT_GT(plain.windows_to_31ms, 20u);
+  EXPECT_EQ(serial.windows - serial.windows_to_31ms,
+            plain.windows - plain.windows_to_31ms);
+  EXPECT_DOUBLE_EQ(serial.arrived_ms, 32.0);
+  for (const PromiseRun* run : {&serial, &parallel}) {
+    EXPECT_EQ(run->fires, plain.fires);
+    EXPECT_EQ(run->arrived_ms, plain.arrived_ms);
+    EXPECT_EQ(run->executed, plain.executed);
+  }
+  EXPECT_EQ(parallel.windows, serial.windows);
+}
+
+TEST(ShardedSimulationTest, PostBeforeThePromiseFailsLoudly) {
+  // Shard 0 posts at 10 ms although the model promised 30 ms: the
+  // message would land inside the window that is already running.
+  TimePoint promise = TimePoint::at_ms(30.0);
+  EXPECT_THROW(run_promise(false, 10.0, &promise), ContractViolation);
+  EXPECT_THROW(run_promise(true, 10.0, &promise), ContractViolation);
+}
+
+TEST(ShardedSimulationTest, RunKeepsNextEventWindowsUnderAnInfinitePromise) {
+  TimePoint never = TimePoint::at_ms(std::numeric_limits<double>::infinity());
+  for (const bool parallel : {false, true}) {
+    ShardedSimulation plain(
+        ShardedSimulation::Options{3, Duration::ms(1.0), 64, parallel});
+    ShardedSimulation promised(
+        ShardedSimulation::Options{3, Duration::ms(1.0), 64, parallel});
+    promised.set_send_promise(&fixed_promise, &never);
+    for (ShardedSimulation* ssim : {&plain, &promised}) {
+      ssim->shard(1).schedule_at(TimePoint::at_ms(5.0), [] {});
+      ssim->shard(2).schedule_at(TimePoint::at_ms(50.0), [] {});
+      EXPECT_EQ(ssim->run(), 2u);
+    }
+    EXPECT_EQ(promised.windows(), plain.windows());
+    for (ShardId s = 0; s < 3; ++s) {
+      EXPECT_TRUE(std::isfinite(promised.shard(s).now().to_ms()));
+      EXPECT_EQ(promised.shard(s).now(), plain.shard(s).now());
+      EXPECT_EQ(promised.shard(s).now(), promised.now());
+    }
+  }
+}
+
+TEST(ShardedSimulationTest, WorkerCountAboveTheCpusClampsToTheShards) {
+  // Ask for far more workers than the host has CPUs: the engine runs
+  // at most one worker per shard, so this starts three pool threads,
+  // and the promised windows still replay the serial trace.
+  TimePoint promise = TimePoint::at_ms(30.0);
+  const std::size_t too_many = std::thread::hardware_concurrency() + 1000;
+  const PromiseRun serial = run_promise(false, 30.0, &promise);
+  const PromiseRun parallel = run_promise(true, 30.0, &promise, too_many);
+  EXPECT_EQ(parallel.workers, 4u);
+  EXPECT_EQ(parallel.fires, serial.fires);
+  EXPECT_EQ(parallel.arrived_ms, serial.arrived_ms);
+  EXPECT_EQ(parallel.executed, serial.executed);
+  EXPECT_EQ(parallel.windows, serial.windows);
 }
 
 // --- API contracts ----------------------------------------------------------

@@ -4,6 +4,8 @@
 // 1-cell ClusterExperiment reproducing exp::Experiment's trace exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -364,6 +366,7 @@ TEST(ClusterExperimentTest, HandoffRidesTheIntercellLink) {
   EXPECT_EQ(cluster.engine().plan().epoch, Duration::micros(120.0));
 
   double arrived_at = -1.0;
+  cluster.open_handoffs();
   cluster.cell(0).simulation().schedule_at(TimePoint::at_ms(1.0), [&] {
     cluster.handoff(0, 0, [&] {
       arrived_at = cluster.cell(1).simulation().now().to_ms();
@@ -373,6 +376,73 @@ TEST(ClusterExperimentTest, HandoffRidesTheIntercellLink) {
   // send + link latency + registered edge latency (two 120 us hops).
   EXPECT_NEAR(arrived_at, 1.0 + 0.12 + 0.12, 1e-9);
   EXPECT_EQ(cluster.handoffs(), 1u);
+}
+
+TEST(ClusterExperimentTest, HandoffWithoutDeclarationIsRejected) {
+  exp::ClusterSpec spec;
+  spec.cells = 2;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec);
+  EXPECT_THROW(cluster.handoff(0, 0, [] {}), ContractViolation);
+  EXPECT_EQ(cluster.handoffs(), 0u);
+  cluster.open_handoffs();
+  EXPECT_NO_THROW(cluster.handoff(0, 0, [] {}));
+  EXPECT_EQ(cluster.handoffs(), 1u);
+}
+
+struct QuietRun {
+  std::vector<double> completions;
+  std::uint64_t events = 0;
+  std::uint64_t posts = 0;
+  std::uint64_t max_step_windows = 0;  ///< most windows one run_for took
+};
+
+/// A fault-free 4-cell cluster with a churn cohort and no handoffs:
+/// four 500 ms run_for steps, each after one tracked job per cell.
+QuietRun run_quiet_cluster(bool parallel) {
+  exp::ClusterSpec spec;
+  spec.cells = 4;
+  spec.parallel = parallel;
+  exp::ExperimentOptions options;
+  options.mode = apps::SystemMode::kXarTrek;
+  exp::ClusterExperiment cluster(apps::paper_benchmarks(), shared_table(),
+                                 spec, options);
+  apps::ShardedLoadGenerator::Options churn;
+  churn.run_demand = Duration::ms(2.0);
+  churn.demand_jitter = 0.5;
+  cluster.set_background_load(4 * 8, churn);
+  sim::ShardedSimulation& engine = cluster.engine().engine();
+  QuietRun run;
+  for (int step = 0; step < 4; ++step) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      cluster.submit(c, step % 2 == 0 ? "digit500" : "facedet320");
+    }
+    const std::uint64_t before = engine.windows();
+    cluster.run_for(Duration::ms(500.0));
+    run.max_step_windows =
+        std::max(run.max_step_windows, engine.windows() - before);
+  }
+  EXPECT_TRUE(cluster.run_until_jobs_complete());
+  run.events = engine.executed_events();
+  for (sim::ShardId s = 0; s < 4; ++s) run.posts += engine.stats(s).posts;
+  run.completions = cluster.job_completion_times_ms();
+  return run;
+}
+
+TEST(ClusterExperimentTest, QuietClusterRunsEachStepInOneWindow) {
+  // No cell can post while none is dead and no handoff is declared, so
+  // the send promise is +inf and a step needs no boundary at all --
+  // where ring-latency windows would have taken thousands.
+  const QuietRun serial = run_quiet_cluster(false);
+  const QuietRun parallel = run_quiet_cluster(true);
+  EXPECT_LE(serial.max_step_windows, 2u);
+  EXPECT_EQ(parallel.max_step_windows, serial.max_step_windows);
+  EXPECT_EQ(serial.posts, 0u);
+  EXPECT_GT(serial.events, 0u);
+  EXPECT_EQ(parallel.events, serial.events);
+  ASSERT_EQ(serial.completions.size(), 16u);
+  EXPECT_EQ(parallel.completions, serial.completions);
+  for (const double t : serial.completions) EXPECT_GT(t, 0.0);
 }
 
 TEST(ClusterExperimentTest, ShardedBackgroundLoadBatchesPerCell) {

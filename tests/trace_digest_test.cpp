@@ -112,6 +112,7 @@ std::uint64_t storm_digest(bool parallel) {
   std::vector<std::vector<double>> arrivals(kCells);
   std::vector<Pump> pumps;
   pumps.reserve(kCells);
+  cluster.open_handoffs();
   for (const std::size_t c : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
     pumps.push_back(Pump{&cluster, c, TimePoint::at_ms(300.0), &arrivals});
     Pump* pump = &pumps.back();
